@@ -37,10 +37,9 @@ from .phase_encoding import (
 )
 from .photon_dist import PhotonDistribution
 from .special_math import (
-    hyp2f1_squared_mean_series,
-    hyp2f1_squared_series,
     log_binomial,
     shannon_entropy,
+    squared_binomial_law,
     thermal_entropy_g,
 )
 from .thermal_loss import (
@@ -79,13 +78,12 @@ __all__ = [
     "holevo_phase_encoding",
     "hsw_capacity",
     "hsw_capacity_pure_dephasing",
-    "hyp2f1_squared_mean_series",
-    "hyp2f1_squared_series",
     "log_binomial",
     "optimal_total_distribution",
     "shannon_entropy",
     "solve_dephasing",
     "solve_lambda",
+    "squared_binomial_law",
     "symplectic_eigenvalues",
     "thermal_entropy_g",
     "thermal_total_photon_dist",

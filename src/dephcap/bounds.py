@@ -11,23 +11,13 @@ degrades the channel.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import thermal_loss
-from .errors import ContractViolation, SolverError
-from .photon_dist import PhotonDistribution, _geometric_tail, point_mass
-from .special_math import shannon_entropy
+from .errors import ContractViolation
+from .photon_dist import build_from_ratios, point_mass
+from .special_math import check_block, shannon_entropy
 
 # entropy prefactor of a unit-variance Gaussian, ~4.1327
 GAUSSIAN_ENTROPY_FACTOR = math.sqrt(2.0 * math.pi * math.e)
-
-
-def _validate_m(m):
-    # real-valued m >= 1 is accepted so log-spaced mode grids stay exact;
-    # the negative-binomial law is well defined for any positive shape
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
-    return float(m)
 
 
 def thermal_total_photon_dist(m, energy):
@@ -35,49 +25,22 @@ def thermal_total_photon_dist(m, energy):
 
     Negative binomial: P(n) = C(n+m-1, m-1) E^n / (E+1)^(n+m), with mean m E
     and variance m E (E+1); both moments are re-verified on the materialized
-    array to 1e-9 relative as a guard on the cutoff certification.
+    window to 1e-9 relative as a guard on the cutoff certification.
     """
-    m = _validate_m(m)
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    # real-valued m >= 1 is accepted so log-spaced mode grids stay exact;
+    # the negative-binomial law is well defined for any positive shape
+    m, energy = check_block(m, energy, integer=False)
     if energy == 0.0:
         return point_mass()
 
     mean = m * energy
     var = mean * (energy + 1.0)
     q = energy / (energy + 1.0)
-    n_star = int(mean)
-
-    # Entries come from the exact term ratios P(n+1)/P(n) = (n+m) q / (n+1),
-    # anchored near the mode and renormalized over the certified window.
+    # Entries come from the exact term ratios P(n+1)/P(n) = (n+m) q / (n+1).
     # Log-space construction via gammaln differences is out: its absolute
     # error (~|lnGamma| * eps) alone overruns the 1e-12 mass window once m
-    # reaches ~1e4.  The ratio products keep every bulk entry at ~1e-13
-    # relative error no matter how large m gets, and renormalization is
-    # legitimate because the analytic law is normalized by construction.
-    size = n_star + int(max(12.0 * math.sqrt(var), 64.0)) + 1
-    limit = max(5_000_000, 20 * size)
-    while True:
-        n = np.arange(size - 1, dtype=float)
-        ratios = (n + m) / (n + 1.0) * q
-        x = np.empty(size)
-        x[n_star] = 1.0
-        x[n_star + 1:] = np.cumprod(ratios[n_star:])
-        x[:n_star] = np.cumprod(1.0 / ratios[:n_star][::-1])[::-1]
-        probs = x / x.sum()
-
-        last = size - 1
-        tail_ratio = (last + m) / (last + 1.0) * q  # nonincreasing beyond here
-        lp_last = math.log(probs[-1]) if probs[-1] > 0.0 else -800.0
-        cert = _geometric_tail(lp_last, tail_ratio)
-        if (cert is not None and cert.mass <= 1e-12
-                and cert.entropy_bits <= 1e-11):
-            break
-        size = int(size * 1.3) + 64
-        if size > limit:
-            raise SolverError(
-                f"tail certification still open after {limit} terms")
-    dist = PhotonDistribution(probs, cert.mass)
+    # reaches ~1e4, while ratio products keep every entry at ~1e-13 relative.
+    dist = build_from_ratios(lambda n: (n + m) / (n + 1.0) * q)
 
     if abs(dist.mean() - mean) > 1e-9 * mean:
         raise ContractViolation(
@@ -103,9 +66,7 @@ def entropy_total_asym(m, energy):
     the approximation stops making sense); NaN then propagates through any
     bound built on top of it.
     """
-    m = _validate_m(m)
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    m, energy = check_block(m, energy, integer=False)
     arg = GAUSSIAN_ENTROPY_FACTOR * math.sqrt(m * energy * (energy + 1.0))
     if arg < 1.0:
         return math.nan
@@ -154,7 +115,7 @@ class BoundsReport:
 
 
 def bounds_report(m, ch, energy):
-    m = _validate_m(m)
+    m, energy = check_block(m, energy, integer=False)
     upper = ea_upper_bound(ch, energy)
     h_exact = entropy_total_exact(m, energy)
     h_asym = entropy_total_asym(m, energy)

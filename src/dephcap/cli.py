@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, figure data, and machine-readable reports.
 
-Exit codes: 0 success, 1 usage or domain error, 2 numerical contract
-violation (including failed verification checks), 3 I/O failure.
+Exit codes: 0 success, 1 usage or domain error, 2 numerical failure
+(contract violation, failed verification check, unconverged solve or
+exhausted memory), 3 I/O failure.
 
 Output is deterministic for a given flag set: rows are emitted in grid
 order and every float is formatted at 12 significant digits.  Sweep points
@@ -390,6 +391,10 @@ def main(argv=None):
         return 1
     except (ContractViolation, SolverError, TailBoundError) as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        click.echo(f"error: out of memory{': ' + detail if detail else ''}", err=True)
         return 2
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)

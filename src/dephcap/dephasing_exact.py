@@ -12,93 +12,81 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import PhotonDistribution, build_from_log_pmf, point_mass
-from .special_math import (LN2, _squared_series_logs, hyp2f1_squared_series,
-                           log_binomial, thermal_entropy_g)
+from .photon_dist import PhotonDistribution, build_from_ratios, point_mass
+from .special_math import (LN2, check_block, log_binomial, squared_binomial_law,
+                           thermal_entropy_g)
+
+# perfbench/spans.py traces these two layers under their former names
+_squared_series_logs = squared_binomial_law
+build_from_log_pmf = build_from_ratios
 
 _MEAN_RTOL = 1e-10
 
 
-def _mean_at(m, lam):
-    if lam == 0.0:
-        return 0.0
-    log_s0, log_s1 = _squared_series_logs(m, lam)
-    return math.exp(log_s1 - log_s0)
-
-
-def solve_lambda(m, energy, lam_tol=1e-14, max_iter=200):
+def solve_lambda(m, energy, max_iter=100):
     """Weight parameter lambda of the optimal total-photon-number law.
 
-    The mean of the law P(n) ~ C(n+m-1, m-1)^2 lambda^n is strictly increasing
-    in lambda, so bisection applies.  The squared-binomial weights grow with
-    n, which pushes the mean above the plain geometric value lambda/(1-lambda);
-    the root therefore lies at or below T/(T+1) for target mean T = m E, and
-    that is used as the upper bracket (it also keeps every series evaluation
-    short).  Verified to reproduce the target mean to 1e-10 relative.
+    The mean of the law P(n) ~ C(n+m-1, m-1)^2 lambda^n is strictly
+    increasing in lambda, with derivative d(mean)/d(ln lambda) = variance,
+    so Newton's method runs in ln lambda on the closed-form mean and
+    variance.  The mean is at least (2m-1) lambda/(1-lambda), so the root
+    lies in the bracket (0, T/(T+2m-1)] for target mean T = m E; every
+    evaluation narrows the bracket, and a Newton step that leaves it is
+    replaced by bisection.  Verified to reproduce the target mean to 1e-10
+    relative.
     """
-    if not float(m).is_integer() or m < 1:
-        raise ValueError(f"mode count must be a positive integer, got {m}")
-    m = int(m)
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    m, energy = check_block(m, energy)
     if energy == 0.0:
         return 0.0
-
     target = m * energy
-    lo = 0.0
-    hi = min(target / (target + 1.0), 1.0 - 1e-15)
+    lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
+    # both guesses are exact at m = 1; the first is the m -> infinity limit
+    # (E/(E+1))^2, the second the E -> 0 limit, where the mean is m^2 lambda
+    q = energy / (energy + 1.0)
+    lam = min(max(q ** (2.0 - 1.0 / m), q / m), hi)
     for _ in range(max_iter):
-        if hi - lo <= lam_tol:
+        _, mean, var = _squared_series_logs(m, lam)
+        miss = mean - target
+        # the mean is within 1e-15 relative, or the Newton step in ln lambda
+        # is below 1e-15, where rounding of the mean takes over
+        if abs(miss) <= 1e-15 * max(target, var):
             break
-        mid = 0.5 * (lo + hi)
-        if _mean_at(m, mid) < target:
-            lo = mid
+        if miss < 0.0:
+            lo = lam
         else:
-            hi = mid
+            hi = lam
+        step = lam * math.exp(min(-miss / var, 700.0))
+        if not lo < step < hi:
+            step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        if step == lam:
+            break
+        lam = step
     else:
         raise SolverError(
-            f"lambda bisection did not reach tolerance {lam_tol} "
-            f"within {max_iter} iterations (m={m}, E={energy})")
-    lam = 0.5 * (lo + hi)
-    achieved = _mean_at(m, lam)
-    if abs(achieved - target) > _MEAN_RTOL * target:
+            f"lambda solve did not converge within {max_iter} iterations "
+            f"(m={m}, E={energy})")
+    if abs(miss) > _MEAN_RTOL * target:
         raise SolverError(
-            f"solved lambda={lam} reproduces mean {achieved} instead of "
+            f"solved lambda={lam} reproduces mean {mean} instead of "
             f"{target} (m={m}, E={energy})")
     return lam
-
-
-def _log_shell_sizes(m, n):
-    """ln C(n+m-1, m-1) for an integer ndarray of shell indices ``n``."""
-    return gammaln(n + m) - gammaln(n + 1.0) - gammaln(m)
 
 
 def optimal_total_distribution(m, energy, lam=None):
     """Capacity-achieving distribution of the total photon number over a block.
 
-    The stored cutoff is extended until a geometric bound certifies the
-    omitted mass below 1e-12 (and its entropy contribution below 1e-11 bits).
+    Built from the exact term ratio ((n+m)/(n+1))^2 lambda over a window
+    certified to omit less than 1e-12 of the mass (and below 1e-11 bits of
+    entropy) on both sides; see photon_dist.build_from_ratios.
     """
     if lam is None:
         lam = solve_lambda(m, energy)
     if lam == 0.0:
         return point_mass()
     m = int(m)
-    log_norm = hyp2f1_squared_series(m, lam)
-    ln_lam = math.log(lam)
-
-    def log_pmf(n):
-        n = n.astype(float)
-        return 2.0 * _log_shell_sizes(m, n) + n * ln_lam - log_norm
-
-    def ratio_bound(n):
-        return ((n + m) / (n + 1.0)) ** 2 * lam
-
-    probs, cert = build_from_log_pmf(log_pmf, ratio_bound)
-    return PhotonDistribution(probs, cert.mass)
+    return build_from_log_pmf(lambda n: ((n + m) / (n + 1.0)) ** 2 * lam)
 
 
 @dataclass
@@ -125,27 +113,20 @@ class DephasingSolution:
 def solve_dephasing(m, energy):
     """Solve one (m, E) point: lambda, distribution, and capacity in bits.
 
-    The capacity is the sum over shells of -P(n) log2[P(n) / C(n+m-1, m-1)^2],
-    evaluated from analytic logs so deeply suppressed shells still contribute
-    exactly their (vanishing) share.  Sanity rails: the achieved mean must
-    match m E to 1e-9 relative and the capacity must land between the
-    unassisted value m g(E) and its doubling.
+    The capacity is sum_n P(n) ln[C(n+m-1, m-1)^2 / P(n)], which with
+    ln P(n) = 2 ln C(n+m-1, m-1) + n ln(lambda) - ln S0(lambda) is exactly
+    (ln S0(lambda) - m E ln(lambda)) / ln 2 at the solved mean.  Sanity
+    rails: the materialized law's mean must match m E to 1e-9 relative and
+    the capacity must land between the unassisted value m g(E) and its
+    doubling.
     """
-    if not float(m).is_integer() or m < 1:
-        raise ValueError(f"mode count must be a positive integer, got {m}")
-    m = int(m)
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    m, energy = check_block(m, energy)
     if energy == 0.0:
         return DephasingSolution(m, 0.0, 0.0, point_mass(), 0.0, 0.0)
 
     lam = solve_lambda(m, energy)
     dist = optimal_total_distribution(m, energy, lam=lam)
-    n = np.arange(dist.probs.size, dtype=float)
-    log_norm = hyp2f1_squared_series(m, lam)
-    log_shell = _log_shell_sizes(m, n)
-    log_p = 2.0 * log_shell + n * math.log(lam) - log_norm
-    capacity = float(np.sum(dist.probs * (2.0 * log_shell - log_p))) / LN2
+    capacity = (_squared_series_logs(m, lam)[0] - m * energy * math.log(lam)) / LN2
     mean = dist.mean()
 
     if abs(mean - m * energy) > 1e-9 * m * energy:
@@ -171,10 +152,7 @@ def hsw_capacity_pure_dephasing(m, energy):
     the g(E) benchmark and are insensitive to a common phase, so the channel
     costs nothing without assistance.
     """
-    if not float(m).is_integer() or m < 1:
-        raise ValueError(f"mode count must be a positive integer, got {m}")
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    _, energy = check_block(m, energy)
     return thermal_entropy_g(energy)
 
 
@@ -194,7 +172,7 @@ def optimal_joint_weight(m, lam, occupations):
     total = int(occ.sum())
     if lam == 0.0:
         return 1.0 if total == 0 else 0.0
-    log_norm = hyp2f1_squared_series(int(m), lam)
+    log_norm = _squared_series_logs(int(m), lam)[0]
     return math.exp(log_binomial(total + m - 1, m - 1)
                     + total * math.log(lam) - log_norm)
 

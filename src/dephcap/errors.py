@@ -2,7 +2,7 @@
 
 
 class SolverError(RuntimeError):
-    """A root finder or series summation failed to converge."""
+    """A root finder failed to converge or a tail could not be certified."""
 
 
 class TailBoundError(ValueError):

@@ -1,26 +1,33 @@
-"""Truncated photon-number distributions with certified tail bounds."""
+"""Windowed photon-number distributions with certified tail bounds."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
-from .special_math import LN2
+from .special_math import LN2, anchored_products
 
 _MASS_SLACK = 1e-12
+# certified bounds on what a window leaves out, summed over both sides
+_TAIL_MASS = 1e-12
+_TAIL_ENTROPY_BITS = 1e-11
+# longest window built (80 MB of float64) before certification gives up
+_MAX_WINDOW = 10_000_000
 
 
 @dataclass
 class PhotonDistribution:
-    """Probabilities over total photon number n = 0, 1, ..., cutoff.
+    """Probabilities over total photon number n = offset, ..., cutoff.
 
-    ``tail_bound`` is a certified upper bound on the probability mass sitting
-    above the stored cutoff, so probs.sum() + tail_bound accounts for all mass.
+    ``probs[i]`` is the probability of n = offset + i.  ``tail_bound`` is a
+    certified upper bound on the probability mass outside the stored window,
+    so probs.sum() + tail_bound accounts for all mass.
     """
 
     probs: np.ndarray
     tail_bound: float = 0.0
+    offset: int = 0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -39,20 +46,78 @@ class PhotonDistribution:
     @property
     def cutoff(self):
         """Largest stored photon number."""
-        return self.probs.size - 1
+        return self.offset + self.probs.size - 1
 
     def mean(self):
-        return float(np.arange(self.probs.size) @ self.probs)
+        return self.offset + float(np.arange(self.probs.size) @ self.probs)
 
     def variance(self):
-        n = np.arange(self.probs.size)
-        mu = self.mean()
-        return float(((n - mu) ** 2) @ self.probs)
+        i = np.arange(self.probs.size)
+        mu = float(i @ self.probs)
+        return float(((i - mu) ** 2) @ self.probs)
 
 
 def point_mass():
     """The vacuum distribution (all mass at n = 0)."""
     return PhotonDistribution(np.array([1.0]), 0.0)
+
+
+def _mode(ratio):
+    """First n >= 0 with ratio(n) < 1, for a nonincreasing ratio that ends below 1."""
+    lo, hi = -1, 1
+    while ratio(hi) >= 1.0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # ratio(lo) >= 1 > ratio(hi), with ratio(-1) taken as >= 1
+        mid = (lo + hi) // 2
+        if ratio(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def build_from_ratios(ratio):
+    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
+
+    ``ratio`` maps an ndarray (or int) of photon numbers to the exact ratios;
+    it must be positive and nonincreasing in n, and end below 1.  The terms
+    are products of these ratios anchored at the mode, renormalized over the
+    window, which is legitimate because the law is normalized by
+    construction.  The window first reaches 12 widths (at least 64 terms) to
+    each side of the mode.  Beyond it each side is bounded by a geometric
+    series (on the left with ratio 1/ratio(L-1), on the right with
+    ratio(R)), certifying the omitted mass below 1e-12 and its entropy below
+    1e-11 bits in total; a side that misses its half doubles its reach, and
+    a window beyond 1e7 terms is a SolverError.  The window starts at n = 0
+    whenever the left gap would be no wider than the window, so narrow laws
+    near the vacuum keep probs[n] = P(n).  Cost is O(sd), not O(mean).
+    """
+    mode = _mode(ratio)
+    # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
+    # per step, and a geometric tail decays at rate -ln ratio(mode)
+    fall = math.log(ratio(mode) / ratio(mode + 1))
+    width = min(fall ** -0.5 if fall > 0.0 else math.inf, -1.0 / math.log(ratio(mode)))
+    left = right = max(math.ceil(12.0 * width), 64)
+    while True:
+        hi = mode + right
+        lo = max(mode - left, 0)
+        if lo <= hi - lo + 1:
+            lo = 0
+        if hi - lo + 1 > _MAX_WINDOW:
+            raise SolverError(
+                f"tail certification still open at a window of {_MAX_WINDOW} terms")
+        x = anchored_products(ratio(np.arange(lo, hi, dtype=float)), mode - lo)
+        probs = x / x.sum()
+        certs = (_geometric_tail(probs[0], 1.0 / ratio(lo - 1)) if lo > 0
+                 else _TailCertificate(),
+                 _geometric_tail(probs[-1], ratio(hi)))
+        short = [c is None or c.mass > 0.5 * _TAIL_MASS
+                 or c.entropy_bits > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
+        if not any(short):
+            break
+        left, right = (2 * left if short[0] else left,
+                       2 * right if short[1] else right)
+    return PhotonDistribution(probs, certs[0].mass + certs[1].mass, lo)
 
 
 @dataclass
@@ -61,57 +126,21 @@ class _TailCertificate:
     entropy_bits: float = 0.0
 
 
-def build_from_log_pmf(log_pmf, ratio_bound, start=64, block=64,
-                       mass_tol=1e-12, entropy_tol_bits=1e-11,
-                       max_len=5_000_000):
-    """Materialize a distribution from its natural-log pmf with a certified cutoff.
+def _geometric_tail(p, ratio):
+    """Certified bounds on the mass and entropy beyond an edge term ``p``.
 
-    ``log_pmf`` maps an integer ndarray to ln-probabilities; ``ratio_bound(n)``
-    must upper-bound p(n+1)/p(n) and be nonincreasing in n wherever it is
-    below 1 (true for all families used here).  The cutoff is extended until a
-    geometric majorant certifies both the omitted mass and its possible
-    entropy contribution below the requested tolerances.
-    """
-    parts = []
-    total = 0.0
-    lo = 0
-    hi = max(int(start), block)
-    while True:
-        n = np.arange(lo, hi)
-        lp = log_pmf(n)
-        p = np.exp(lp)
-        parts.append(p)
-        total += float(p.sum())
-
-        cert = _geometric_tail(float(lp[-1]), ratio_bound(hi - 1))
-        if cert is not None:
-            if (cert.mass <= mass_tol * max(total, 0.5)
-                    and cert.entropy_bits <= entropy_tol_bits):
-                break
-        lo = hi
-        hi += block
-        if hi > max_len:
-            raise SolverError(
-                f"tail certification still open after {max_len} terms")
-    return np.concatenate(parts), cert
-
-
-def _geometric_tail(log_p_last, ratio):
-    """Certified bounds on the mass and entropy beyond the last stored term.
-
-    With p(N+k) <= p(N) r^k for a nonincreasing ratio bound r < 1, the tail
-    mass is at most p r/(1-r) and its entropy at most
+    With the terms beyond the edge bounded by p r^k, k = 1, 2, ..., for a
+    ratio r < 1, the tail mass is at most p r/(1-r) and its entropy at most
     [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p, both evaluated here in bits.
-    Returns None while the ratio bound is still >= 1 (pre-peak region).
+    Returns None while r >= 1 (the edge has not passed the mode).
     """
     if not ratio < 1.0:
         return None
-    if log_p_last < -700.0:
-        # below 1e-304 even the polynomial prefactors cannot lift the tail
-        # above ~1e-300; certify trivially without risking exp over/underflow
-        return _TailCertificate(0.0, 0.0)
-    p = math.exp(log_p_last)
+    if p < 1e-304:
+        # also covers an edge term that underflowed to 0, where ln(p) fails;
+        # r/(1-r) < 1e16 keeps such a tail below 1e-288
+        return _TailCertificate()
     geo = ratio / (1.0 - ratio)
     mass = p * geo
-    entropy = p * (max(-log_p_last, 0.0) * geo - math.log(ratio) * geo / (1.0 - ratio))
+    entropy = p * (max(-math.log(p), 0.0) * geo - math.log(ratio) * geo / (1.0 - ratio))
     return _TailCertificate(mass, entropy / LN2)

@@ -4,21 +4,17 @@ Conventions used throughout the package:
 
 - every public entropy-like quantity is in bits (log base 2); internal
   accumulation happens in natural logs and is converted once at the end;
-- quantities that live in log space are plain floats holding ln(x), with
-  ``-inf`` standing in for ln(0).  ``exp`` round-trips such values at
-  ordinary float accuracy, and sums of log-space terms go through
-  ``logaddexp``/``logsumexp`` so that huge dynamic ranges stay exact.
+- sums whose terms span a huge dynamic range are taken as products of exact
+  term ratios anchored at the largest term (``anchored_products``), which
+  keeps every term at a few ulps relative; only the anchor itself is carried
+  as a log.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
-
-from .errors import SolverError
 
 LN2 = math.log(2.0)
-LOG_ZERO = float("-inf")
 
 
 def thermal_entropy_g(n):
@@ -74,72 +70,72 @@ def shannon_entropy(p, mass_tol=1e-9):
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def _squared_series_logs(m, z, rel_tol=1e-16, tail_tol=1e-14, block=256,
-                         max_terms=20_000_000):
-    """ln of S0 = sum_n C(n+m-1, m-1)^2 z^n and S1 = sum_n n C(n+m-1, m-1)^2 z^n.
+def check_block(m, energy, integer=True):
+    """Validated (m, E) of an m-mode block at mean photon number E per mode.
 
-    Terms are generated in blocks directly in log space.  The term ratio of S0
-    is ((n+m)/(n+1))^2 z, which decreases monotonically toward z < 1, so once
-    the ratio r at the last computed index is below 1 the omitted tail is
-    bounded by the geometric sum t_last * r / (1 - r); the S1 ratio picks up
-    an extra (n+1)/n factor and gets the same treatment.  Summation stops when
-    the last term is below rel_tol of the running sum and both certified tails
-    are below tail_tol of their sums.
+    ``m`` must be a positive integer and is returned as int; with
+    ``integer=False`` any real m >= 1 is accepted and returned as float, so
+    log-spaced mode grids stay exact.  ``energy`` must be nonnegative.
     """
-    if not float(m).is_integer() or m < 1:
-        raise ValueError(f"mode count must be a positive integer, got {m}")
-    m = int(m)
+    if integer:
+        if not float(m).is_integer() or m < 1:
+            raise ValueError(f"mode count must be a positive integer, got {m}")
+        m = int(m)
+    elif m < 1:
+        raise ValueError(f"mode count must be >= 1, got {m}")
+    else:
+        m = float(m)
+    if energy < 0.0:
+        raise ValueError(f"energy must be nonnegative, got {energy}")
+    return m, energy
+
+
+def anchored_products(ratios, anchor):
+    """Terms x_0..x_N with x[anchor] = 1 and x[j+1] = x[j] * ratios[j].
+
+    Built by cumulative products outward from the anchor; anchored at the
+    largest term, every entry lies in [0, 1] and carries a relative error of
+    a few ulps per step, whatever the dynamic range.
+    """
+    x = np.empty(ratios.size + 1)
+    x[anchor] = 1.0
+    x[anchor + 1:] = np.cumprod(ratios[anchor:])
+    x[:anchor] = np.cumprod(1.0 / ratios[:anchor][::-1])[::-1]
+    return x
+
+
+def squared_binomial_law(m, z):
+    """ln S0(z), mean and variance of the law P(n) ~ C(n+m-1, m-1)^2 z^n.
+
+    S0(z) = sum_n C(n+m-1, m-1)^2 z^n = 2F1(m, m; 1; z).  Euler's
+    transformation (DLMF 15.8(i)) makes it finite:
+
+        S0(z) = (1-z)^(1-2m) Q(z),  Q(z) = sum_{k<m} C(m-1, k)^2 z^k,
+
+    a polynomial with positive coefficients, so no truncation or tail
+    certificate is involved.  The mean z d(ln S0)/dz is (2m-1) z/(1-z) plus
+    the mean of the weights of Q, and the variance (its derivative in ln z)
+    is (2m-1) z/(1-z)^2 plus their variance.  Q is summed as ratio products
+    anchored at its largest term.
+    """
+    m, _ = check_block(m, 0.0)
     if not 0.0 <= z < 1.0:
         raise ValueError(f"series argument must lie in [0, 1), got {z}")
     if z == 0.0:
-        return 0.0, LOG_ZERO
-
-    ln_z = math.log(z)
-    lg_m = gammaln(m)
-    log_s0 = LOG_ZERO
-    log_s1 = LOG_ZERO
-    start = 0
-    while start < max_terms:
-        n = np.arange(start, start + block, dtype=float)
-        log_t = 2.0 * (gammaln(n + m) - gammaln(n + 1.0) - lg_m) + n * ln_z
-        log_s0 = np.logaddexp(log_s0, _logsumexp(log_t))
-        with np.errstate(divide="ignore"):
-            log_nt = log_t + np.log(n)  # n = 0 contributes ln(0) = -inf
-        log_s1 = np.logaddexp(log_s1, _logsumexp(log_nt))
-
-        n_last = start + block - 1
-        r0 = ((n_last + m) / (n_last + 1.0)) ** 2 * z
-        t_rel = math.exp(log_t[-1] - log_s0)
-        if r0 < 1.0 and t_rel < rel_tol:
-            tail0 = t_rel * r0 / (1.0 - r0)
-            r1 = r0 * (n_last + 1.0) / n_last
-            tail1 = math.inf
-            if r1 < 1.0:
-                tail1 = math.exp(log_nt[-1] - log_s1) * r1 / (1.0 - r1)
-            if tail0 < tail_tol and tail1 < tail_tol:
-                return float(log_s0), float(log_s1)
-        start += block
-    raise SolverError(
-        f"squared-binomial series did not converge within {max_terms} terms "
-        f"(m={m}, z={z})")
+        return 0.0, 0.0, 0.0
+    k = np.arange(m, dtype=float)
+    ratios = ((m - 1.0 - k[:-1]) / (k[:-1] + 1.0)) ** 2 * z
+    top = int(np.count_nonzero(ratios >= 1.0))  # ratios decrease in k
+    w = anchored_products(ratios, top)
+    total = float(w.sum())
+    mean_q = float(k @ w) / total
+    var_q = float(((k - mean_q) ** 2) @ w) / total
+    log_q = math.log(total) + 2.0 * log_binomial(m - 1, top) + top * math.log(z)
+    geo = (2 * m - 1) * z / (1.0 - z)
+    return ((1 - 2 * m) * math.log1p(-z) + log_q,
+            geo + mean_q,
+            geo / (1.0 - z) + var_q)
 
 
-def _logsumexp(values):
-    # scipy's logsumexp handles the all -inf edge with a warning; this doesn't.
-    hi = np.max(values)
-    if hi == LOG_ZERO:
-        return LOG_ZERO
-    return float(hi + np.log(np.exp(values - hi).sum()))
-
-
-def hyp2f1_squared_series(m, z, block=256):
-    """ln sum_n C(n+m-1, m-1)^2 z^n, the normalization of the optimal-input law.
-
-    Certified so the omitted tail is below 1e-14 of the sum.
-    """
-    return _squared_series_logs(m, z, block=block)[0]
-
-
-def hyp2f1_squared_mean_series(m, z, block=256):
-    """ln sum_n n C(n+m-1, m-1)^2 z^n (companion mean series, same certification)."""
-    return _squared_series_logs(m, z, block=block)[1]
+# former name of squared_binomial_law, looked up by perfbench/spans.py
+_squared_series_logs = squared_binomial_law

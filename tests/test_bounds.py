@@ -29,6 +29,13 @@ NB_SPOT_REFS = {
     150: 6.588025574380207688662e-7,
 }
 ENTROPY_M20_E1 = 4.680314857618025910646
+# entropy_total_exact(m, 1) as computed by the full-support law from n = 0
+# (before the law was windowed around its mode)
+ENTROPY_E1_FULL_SUPPORT = {
+    1e3: 7.529446461024764,
+    1e5: 10.851910412267099,
+    1e7: 14.173843863185342,
+}
 ENTROPY_ASYM_1E5 = 5.369744667154956690786
 LOWER_M20_LOSSLESS = 3.765984257119098704468
 EA_08_10_0001 = 0.0007394223764090147909
@@ -91,6 +98,11 @@ class TestEntropyExact:
 
     def test_zero_energy(self):
         assert entropy_total_exact(5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("m", sorted(ENTROPY_E1_FULL_SUPPORT))
+    def test_window_keeps_the_full_support_entropy(self, m):
+        assert entropy_total_exact(m, 1.0) == pytest.approx(
+            ENTROPY_E1_FULL_SUPPORT[m], abs=1e-10)
 
 
 class TestEntropyAsym:

@@ -94,6 +94,48 @@ class TestCapacityCommand:
         capsys.readouterr()
 
 
+class TestPreviouslyFailingPoints:
+    """Points where the law built from gammaln differences missed unit mass."""
+
+    @staticmethod
+    def _report(capsys, m, energy):
+        rc = cli.main(["capacity", "--pure-dephasing", "-m", str(m),
+                       "-E", str(energy)])
+        assert rc == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("m, energy", [(2000, 10), (10000, 10), (20000, 1),
+                                           (20000, 10)])
+    def test_solves_with_a_certified_law(self, capsys, m, energy):
+        rep = self._report(capsys, m, energy)
+        assert 1.99 < rep["ratio"] < 2.0
+        inter = rep["intermediates"]
+        assert abs(inter["mean_achieved"] - m * energy) <= 1e-9 * m * energy
+        assert 0.0 <= inter["tail_bound"] <= 1e-12
+
+    def test_ratio_still_rises_at_twenty_thousand_modes(self, capsys):
+        below = self._report(capsys, 19999, 1)["ratio"]
+        assert self._report(capsys, 20000, 1)["ratio"] > below
+
+
+class TestNumericalFailures:
+    def test_out_of_memory_exits_two_with_one_line(self, capsys, monkeypatch):
+        def exhausted(m, energy):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(cli.dephasing_exact, "solve_dephasing", exhausted)
+        assert cli.main(["capacity", "--pure-dephasing", "-m", "3", "-E", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: out of memory: Unable to allocate 74.5 GiB for an array"]
+
+    def test_uncertifiable_law_exits_two(self, capsys):
+        # the optimal law at E = 1e6 needs a window beyond the 1e7-term cap
+        rc = cli.main(["capacity", "--pure-dephasing", "-m", "1", "-E", "1e6"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: tail certification")
+
+
 class TestFig2Command:
     def test_default_table(self, tmp_path):
         out = tmp_path / "fig2.csv"

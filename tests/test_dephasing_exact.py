@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephcap.dephasing_exact import (
     DephasingSolution,
@@ -18,7 +20,7 @@ from dephcap.dephasing_exact import (
     solve_dephasing,
     solve_lambda,
 )
-from dephcap.special_math import hyp2f1_squared_series, thermal_entropy_g
+from dephcap.special_math import squared_binomial_law, thermal_entropy_g
 
 CAPACITY_M2_E1 = 5.322462129777240821346  # bits over the two-mode block
 LAMBDA_M2_E1 = (math.sqrt(3.0) - 1.0) / 2.0
@@ -72,7 +74,7 @@ class TestOptimalTotalDistribution:
     def test_entries_match_the_analytic_law(self):
         lam = solve_lambda(2, 1.0)
         dist = optimal_total_distribution(2, 1.0, lam=lam)
-        log_norm = hyp2f1_squared_series(2, lam)
+        log_norm = squared_binomial_law(2, lam)[0]
         n = np.arange(30)
         want = np.exp(2.0 * np.log(n + 1.0) + n * math.log(lam) - log_norm)
         np.testing.assert_allclose(dist.probs[:30], want, rtol=1e-12)
@@ -125,6 +127,19 @@ class TestSolveDephasing:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3000), log_energy=st.floats(-3.0, math.log10(30.0)))
+def test_every_point_solves_inside_its_sandwich(m, log_energy):
+    energy = 10.0 ** log_energy
+    sol = solve_dephasing(m, energy)
+    assert sol.mean_achieved == pytest.approx(m * energy, rel=1e-9)
+    g = thermal_entropy_g(energy)
+    assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
+    assert sol.dist.tail_bound <= 1e-12
+    sd = math.sqrt(squared_binomial_law(m, sol.lambda1)[2])
+    assert sol.dist.probs.size <= 100.0 * (sd + 1.0)
 
 
 class TestUnassistedDephasing:

@@ -11,15 +11,25 @@ import pytest
 
 from dephcap.photon_dist import PhotonDistribution
 from dephcap.special_math import (
-    hyp2f1_squared_mean_series,
-    hyp2f1_squared_series,
     log_binomial,
     shannon_entropy,
+    squared_binomial_law,
     thermal_entropy_g,
 )
 
 G_OF_TEN = 4.83446685613664633949
 LOG_BINOM_1E6_500 = 4296.300049745916891604
+
+# ln 2F1(m, m; 1; z) from mpmath.hyp2f1 (direct hypergeometric summation,
+# not the Euler polynomial) at 50 significant digits.
+LOG_HYP2F1_REFS = {
+    (50, 0.25): 65.75481725652898328546001,
+    (50, 0.8): 219.4289174066125662643646,
+    (2000, 0.25): 2767.176388465207691946066,
+    (2000, 0.8): 8986.159381607579737970204,
+    (20000, 0.25): 27719.32341322071916453122,
+    (20000, 0.8): 89925.76745018035779368878,
+}
 
 
 def _s0_closed(m, z):
@@ -130,44 +140,56 @@ class TestShannonEntropy:
             shannon_entropy(np.array([0.5, 0.5 - 1e-8]))
 
 
+def _log_s0(m, z):
+    return squared_binomial_law(m, z)[0]
+
+
+def _log_s1(m, z):
+    # S1 = sum_n n C(n+m-1, m-1)^2 z^n = S0 * mean
+    log_s0, mean, _ = squared_binomial_law(m, z)
+    return log_s0 + math.log(mean)
+
+
 class TestSquaredBinomialSeries:
     @pytest.mark.parametrize("z", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_single_mode_is_geometric_normalizer(self, z):
         # m=1 collapses to sum z^n = 1/(1-z).
-        assert hyp2f1_squared_series(1, z) == pytest.approx(
-            -math.log1p(-z), rel=1e-13)
+        assert _log_s0(1, z) == pytest.approx(-math.log1p(-z), rel=1e-13)
 
     def test_reference_value_two_modes(self):
-        assert hyp2f1_squared_series(2, 0.3) == pytest.approx(
-            1.332389096283688188773, rel=1e-13)
+        assert _log_s0(2, 0.3) == pytest.approx(1.332389096283688188773, rel=1e-13)
+
+    @pytest.mark.parametrize("m, z", sorted(LOG_HYP2F1_REFS))
+    def test_large_mode_counts_match_mpmath(self, m, z):
+        assert _log_s0(m, z) == pytest.approx(LOG_HYP2F1_REFS[m, z], rel=1e-13)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("z", [0.2, 0.5, 0.8])
     def test_matches_closed_form(self, m, z):
-        assert hyp2f1_squared_series(m, z) == pytest.approx(
-            math.log(_s0_closed(m, z)), rel=1e-12)
+        assert _log_s0(m, z) == pytest.approx(math.log(_s0_closed(m, z)), rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("z", [0.2, 0.5, 0.8])
     def test_mean_series_matches_closed_form(self, m, z):
-        assert hyp2f1_squared_mean_series(m, z) == pytest.approx(
-            math.log(_s1_closed(m, z)), rel=1e-12)
+        assert _log_s1(m, z) == pytest.approx(math.log(_s1_closed(m, z)), rel=1e-12)
+
+    @pytest.mark.parametrize("m, z", [(1, 0.5), (3, 0.7), (40, 0.3), (2000, 0.8)])
+    def test_variance_is_the_mean_derivative_in_log_z(self, m, z):
+        h = 1e-5
+        up = squared_binomial_law(m, z * math.exp(h))[1]
+        down = squared_binomial_law(m, z * math.exp(-h))[1]
+        assert squared_binomial_law(m, z)[2] == pytest.approx(
+            (up - down) / (2.0 * h), rel=1e-7)
 
     def test_zero_argument(self):
-        assert hyp2f1_squared_series(3, 0.0) == 0.0
-        assert hyp2f1_squared_mean_series(3, 0.0) == float("-inf")
-
-    @pytest.mark.parametrize("block", [64, 256, 1024])
-    def test_block_size_does_not_change_the_sum(self, block):
-        assert hyp2f1_squared_series(3, 0.7, block=block) == pytest.approx(
-            hyp2f1_squared_series(3, 0.7), rel=1e-13)
+        assert squared_binomial_law(3, 0.0) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("z", [-0.1, 1.0, 1.5])
     def test_argument_outside_unit_interval_rejected(self, z):
         with pytest.raises(ValueError):
-            hyp2f1_squared_series(2, z)
+            squared_binomial_law(2, z)
 
     @pytest.mark.parametrize("m", [0, -1, 2.5])
     def test_bad_mode_count_rejected(self, m):
         with pytest.raises(ValueError):
-            hyp2f1_squared_series(m, 0.5)
+            squared_binomial_law(m, 0.5)
