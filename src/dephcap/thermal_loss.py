@@ -37,27 +37,29 @@ def _intermediates(ch, energy):
     """(output mean E', discriminant D, A+, A-) entering the capacity formula.
 
     D^2 = (E + E' + 1)^2 - 4 kappa E (E + 1) is evaluated in the expanded form
-    E^2 (1-kappa)^2 + 2 E [(1+kappa) n_b + (1-kappa)] + (n_b+1)^2, whose terms
-    are all nonnegative, so no cancellation occurs anywhere in the parameter
-    range.  A+- = (D - 1 +- (E' - E)) / 2 are clamped to 0 from tiny negative
-    rounding; both are means of effective thermal modes and are >= 0 exactly.
+    D^2 - 1 = E^2 (1-kappa)^2 + 2 E [(1+kappa) n_b + (1-kappa)] + n_b^2 + 2 n_b,
+    whose terms are all nonnegative.  The occupations
+    A+- = (D - 1 +- (E' - E)) / 2 are formed without cancelling differences:
+    D - 1 = (D^2 - 1) / (D + 1), the larger one is (D - 1)/2 + |E' - E|/2, and
+    the smaller one is the product
+    A+ A- = 2 E (E+1) n_b (n_b + 1 - kappa) / (X + D), with
+    X = E (1-kappa) + n_b + 1 + 2 E n_b, divided by the larger one.
     """
-    e_prime = ch.kappa * energy + ch.n_b
-    d_sq = ((energy * (1.0 - ch.kappa)) ** 2
-            + 2.0 * energy * ((1.0 + ch.kappa) * ch.n_b + (1.0 - ch.kappa))
-            + (ch.n_b + 1.0) ** 2)
-    big_d = math.sqrt(d_sq)
-    half_gap = 0.5 * (e_prime - energy)
-    a_plus = 0.5 * (big_d - 1.0) + half_gap
-    a_minus = 0.5 * (big_d - 1.0) - half_gap
-    if a_plus < 0.0 or a_minus < 0.0:
-        if min(a_plus, a_minus) < -_CLAMP:
-            raise ContractViolation(
-                f"thermal occupations A+={a_plus}, A-={a_minus} below zero "
-                f"beyond rounding for kappa={ch.kappa}, n_b={ch.n_b}, E={energy}")
-        a_plus = max(a_plus, 0.0)
-        a_minus = max(a_minus, 0.0)
-    return e_prime, big_d, a_plus, a_minus
+    kappa, n_b = ch.kappa, ch.n_b
+    e_prime = kappa * energy + n_b
+    d_sq_m1 = ((energy * (1.0 - kappa)) ** 2
+               + 2.0 * energy * ((1.0 + kappa) * n_b + (1.0 - kappa))
+               + n_b * n_b + 2.0 * n_b)
+    big_d = math.sqrt(1.0 + d_sq_m1)
+    gap = n_b - (1.0 - kappa) * energy  # E' - E
+    larger = 0.5 * d_sq_m1 / (big_d + 1.0) + 0.5 * abs(gap)
+    x = energy * (1.0 - kappa) + n_b + 1.0 + 2.0 * energy * n_b
+    product = (2.0 * energy * (energy + 1.0) * n_b * (n_b + (1.0 - kappa))
+               / (x + big_d))
+    smaller = product / larger if larger > 0.0 else 0.0
+    if gap >= 0.0:
+        return e_prime, big_d, larger, smaller
+    return e_prime, big_d, smaller, larger
 
 
 def ea_capacity(ch, energy):

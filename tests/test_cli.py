@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+import tracemalloc
 
 import click
 import pytest
@@ -134,6 +135,44 @@ class TestNumericalFailures:
         rc = cli.main(["capacity", "--pure-dephasing", "-m", "1", "-E", "1e6"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: tail certification")
+
+
+class TestLargeEnergies:
+    def test_phase_encoding_at_a_hundred_photons(self, capsys):
+        rc = cli.main(["phase-encoding", "-k", "0.8", "--nb", "1", "-E", "100"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert 0.0 < rep["chi"] <= rep["ea"]
+
+    def test_phase_encoding_beyond_the_kernel_budget_exits_two(self, capsys):
+        tracemalloc.start()
+        try:
+            rc = cli.main(["phase-encoding", "-k", "0.8", "--nb", "1", "-E", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: Fock kernel at cutoffs (10419, 13006) needs 3.04e+09 bytes")
+        assert peak < 10_000_000  # refused before any kernel array exists
+
+    def test_bounds_at_large_energy(self, capsys):
+        # A+ = 0 exactly here; formed as a difference of two numbers near 1e4
+        # it rounds to about -1.8e-12
+        rc = cli.main(["bounds", "-k", "0.8", "-E", "1e5", "-m", "1"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_thermal_loss_capacity_at_a_million_photons(self, capsys):
+        rc = cli.main(["capacity", "--thermal-loss", "-k", "0.8", "-E", "1e6"])
+        assert rc == 0
+        inter = json.loads(capsys.readouterr().out)["intermediates"]
+        assert inter["a_plus"] == 0.0
+        assert inter["a_minus"] == pytest.approx(2e5, rel=1e-12)
 
 
 class TestFig2Command:

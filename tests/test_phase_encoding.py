@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from dephcap.bounds import ea_lower_bound, entropy_total_asym, entropy_total_exact
-from dephcap.errors import TailBoundError
+from dephcap.errors import SolverError, TailBoundError
 from dephcap.phase_encoding import (
     GaussianTwoModeState,
+    _number_kernel_log,
     fock_diagonal,
     gaussian_conditional_entropy,
     holevo_lb_with_dephasing,
@@ -148,7 +150,58 @@ class TestFockDiagonal:
             float(-(nz * np.log2(nz)).sum()), rel=1e-14)
 
 
+def _kernel_entry_mp(kappa, n_b, j, n):
+    """T[j, n] as the 50-digit sum over the intermediate photon number i."""
+    with mp.workdps(50):
+        gain = mp.mpf(n_b) + 1
+        k0 = mp.mpf(kappa) / gain
+        return mp.fsum(
+            mp.binomial(n, i) * k0**i * (1 - k0) ** (n - i)
+            * mp.binomial(j, i) * gain ** (-(i + 1)) * (1 - 1 / gain) ** (j - i)
+            for i in range(min(j, n) + 1))
+
+
+class TestNumberKernel:
+    @pytest.mark.parametrize("kappa, n_b, j, n", [
+        (0.8, 10.0, 0, 0), (0.8, 10.0, 3, 7), (0.8, 10.0, 120, 40),
+        (0.8, 10.0, 489, 286), (0.8, 10.0, 0, 5500),  # ~4e-182
+        (0.3, 0.0, 382, 382),  # ~1.8e-200
+        (0.3, 0.0, 100, 399)])
+    def test_entries_match_the_mpmath_sum(self, kappa, n_b, j, n):
+        ref = _kernel_entry_mp(kappa, n_b, j, n)
+        got = _number_kernel_log(kappa, n_b, j + 1, n + 1)[j, n]
+        # Pascal's rule rounds once per step, j + n steps in all
+        with mp.workdps(50):
+            assert abs(mp.expm1(got - mp.log(ref))) <= 1e-16 * (j + n + 10)
+
+    def test_pure_loss_cannot_add_photons(self):
+        log_t = _number_kernel_log(0.3, 0.0, 8, 4)
+        assert np.all(np.isneginf(log_t[np.tril_indices(8, -1, 4)]))
+        assert np.all(np.isfinite(log_t[np.triu_indices(8, 0, 4)]))
+
+    @pytest.mark.parametrize("kappa, n_b", [(0.8, 10.0), (0.3, 0.0)])
+    def test_columns_sum_to_one(self, kappa, n_b):
+        t = np.exp(_number_kernel_log(kappa, n_b, 2000, 20))
+        np.testing.assert_allclose(t.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+    def test_identity_channel_is_the_identity(self):
+        t = np.exp(_number_kernel_log(1.0, 0.0, 40, 25))
+        assert np.array_equal(t, np.eye(40, 25))
+
+    def test_budget_refuses_oversized_cutoffs(self):
+        with pytest.raises(SolverError, match=r"cutoffs \(10419, 13006\) needs 3.04e\+09"):
+            _number_kernel_log(0.8, 1.0, 10419, 13006)
+
+
 class TestHolevoPhaseEncoding:
+    def test_recorded_rate_at_ten_photons(self):
+        # chi and the auto-extended cutoffs recorded from the N^3 log-space
+        # stack that the two-factor kernel replaced
+        ch = ThermalLossChannel(0.8, 10.0)
+        assert fock_diagonal(tmsv_through_loss(10.0, ch)).cutoffs == (490, 287)
+        assert holevo_phase_encoding(10.0, ch) == pytest.approx(
+            0.7296053793010913, rel=1e-12)
+
     def test_zero_energy(self):
         assert holevo_phase_encoding(0.0, ThermalLossChannel(0.5, 0.0)) == 0.0
 

@@ -5,6 +5,7 @@ Reference constants were evaluated with mpmath at 50 significant digits.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -126,6 +127,22 @@ class TestCapacityReport:
         assert rep.e_prime == pytest.approx(10.0008, rel=1e-14)
         assert rep.a_plus >= 0.0
         assert rep.a_minus >= -1e-15
+
+    @pytest.mark.parametrize("kappa, n_b, energy", [
+        (0.999, 0.0, 1e-3), (0.999, 0.0, 1.0), (0.999, 0.0, 1e6),
+        (0.8, 0.0, 1e6), (0.999999, 1e-6, 1e-6), (0.8, 10.0, 0.001),
+        (0.5, 2.0, 1e6)])
+    def test_occupations_match_mpmath(self, kappa, n_b, energy):
+        # A+- = (D - 1 +- (E' - E))/2 from the unexpanded discriminant at 50
+        # digits; the float64 inputs are taken exactly
+        with mp.workdps(50):
+            k, nb, e = mp.mpf(kappa), mp.mpf(n_b), mp.mpf(energy)
+            e_prime = k * e + nb
+            d = mp.sqrt((e + e_prime + 1) ** 2 - 4 * k * e * (e + 1))
+            want = ((d - 1 + e_prime - e) / 2, (d - 1 - e_prime + e) / 2)
+        rep = capacity_report(ThermalLossChannel(kappa, n_b), energy)
+        for got, ref in zip((rep.a_plus, rep.a_minus), want):
+            assert abs(got - float(ref)) <= 1e-14 * float(ref)
 
     def test_zero_energy_ratio_is_nan(self):
         rep = capacity_report(ThermalLossChannel(0.8, 10.0), 0.0)
