@@ -26,7 +26,6 @@ from .dephasing_exact import (
 )
 from .errors import ContractViolation, SolverError, TailBoundError
 from .phase_encoding import (
-    GaussianTwoModeState,
     JointFockDiagonal,
     fock_diagonal,
     holevo_lb_with_dephasing,
@@ -56,7 +55,6 @@ __all__ = [
     "CapacityReport",
     "ContractViolation",
     "DephasingSolution",
-    "GaussianTwoModeState",
     "JointFockDiagonal",
     "PhotonDistribution",
     "SolverError",

@@ -20,40 +20,13 @@ import numpy as np
 
 from . import bounds
 from .errors import ContractViolation, SolverError, TailBoundError
-from .special_math import thermal_entropy_g
+from .special_math import check_photons, shannon_entropy, thermal_entropy_g
 
-_STRUCTURE_TOL = 1e-8
 _DEFAULT_TAIL = 1e-9
 # Float64 cells allowed for the Fock kernel's two factors plus their product
 # (200 MB).  E = 100 needs 1.5e7 at its final cutoffs (2096, 2580) for
 # kappa = 0.8, n_b = 1; E = 1000 would need 3.8e8 at its default ones.
 _KERNEL_CELL_BUDGET = 25_000_000
-
-
-@dataclass
-class GaussianTwoModeState:
-    """Zero-mean two-mode Gaussian state, signal mode first, idler second.
-
-    ``cm`` is the 4x4 covariance matrix in (x1, p1, x2, p2) ordering with the
-    vacuum normalized to the identity.  Symplectic eigenvalues are computed on
-    construction; physicality requires both to be >= 1 up to rounding.
-    """
-
-    cm: np.ndarray
-
-    def __post_init__(self):
-        cm = np.asarray(self.cm, dtype=float)
-        if cm.shape != (4, 4):
-            raise ValueError(f"covariance matrix must be 4x4, got {cm.shape}")
-        scale = max(1.0, float(np.abs(cm).max()))
-        if np.abs(cm - cm.T).max() > _STRUCTURE_TOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        self.cm = 0.5 * (cm + cm.T)
-        self.nu_minus, self.nu_plus = symplectic_eigenvalues(self.cm)
-        if self.nu_minus < 1.0 - 1e-10:
-            raise ValueError(
-                f"unphysical covariance matrix: symplectic eigenvalue "
-                f"{self.nu_minus} below 1")
 
 
 def symplectic_eigenvalues(cm):
@@ -73,30 +46,32 @@ def symplectic_eigenvalues(cm):
 def tmsv_through_loss(energy, ch):
     """Covariance matrix after the signal arm of a TMSV crosses the channel.
 
-    The idler block stays at (2E+1) I, the signal block becomes (2E'+1) I with
-    E' = kappa E + n_b, and the cross block is 2 sqrt(kappa E (E+1)) diag(1,-1).
-    The symplectic occupations (nu+- - 1)/2 of this matrix coincide with the
-    A+- intermediates of the assisted-capacity formula.
+    The 4x4 matrix is in (x1, p1, x2, p2) ordering, signal mode first, with
+    the vacuum normalized to the identity.  The idler block stays at
+    (2E+1) I, the signal block becomes (2E'+1) I with E' = kappa E + n_b, and
+    the cross block is 2 sqrt(kappa E (E+1)) diag(1,-1).  The symplectic
+    occupations (nu+- - 1)/2 of this matrix coincide with the A+-
+    intermediates of the assisted-capacity formula.
     """
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    check_photons(energy)
     e_prime = ch.output_mean(energy)
     c = 2.0 * math.sqrt(ch.kappa * energy * (energy + 1.0))
     cm = np.diag([2.0 * e_prime + 1.0, 2.0 * e_prime + 1.0,
                   2.0 * energy + 1.0, 2.0 * energy + 1.0])
     cm[0, 2] = cm[2, 0] = c
     cm[1, 3] = cm[3, 1] = -c
-    return GaussianTwoModeState(cm)
+    return cm
 
 
-def gaussian_conditional_entropy(st):
+def gaussian_conditional_entropy(energy, ch):
     """Entropy in bits of the Gaussian state: g((nu+ - 1)/2) + g((nu- - 1)/2).
 
     This is the phase-independent part of the encoded ensemble, i.e. the
     average conditional entropy entering the Holevo difference.
     """
+    nu_minus, nu_plus = symplectic_eigenvalues(tmsv_through_loss(energy, ch))
     occ = []
-    for nu in (st.nu_plus, st.nu_minus):
+    for nu in (nu_plus, nu_minus):
         x = 0.5 * (nu - 1.0)
         if x < -1e-10:
             raise ValueError(f"symplectic eigenvalue {nu} below vacuum")
@@ -114,45 +89,6 @@ class JointFockDiagonal:
     @property
     def cutoffs(self):
         return self.probs.shape
-
-    def signal_marginal(self):
-        return self.probs.sum(axis=1)
-
-    def idler_marginal(self):
-        return self.probs.sum(axis=0)
-
-    def entropy_bits(self):
-        nz = self.probs[self.probs > 0.0]
-        return float(-np.sum(nz * np.log2(nz)))
-
-
-def _state_parameters(st):
-    """Recover (E, kappa, n_b) from a loss-applied TMSV covariance matrix."""
-    cm = st.cm
-    scale = max(1.0, float(np.abs(cm).max()))
-    shape_ok = (
-        abs(cm[0, 1]) <= _STRUCTURE_TOL * scale
-        and abs(cm[2, 3]) <= _STRUCTURE_TOL * scale
-        and abs(cm[0, 3]) <= _STRUCTURE_TOL * scale
-        and abs(cm[1, 2]) <= _STRUCTURE_TOL * scale
-        and abs(cm[0, 0] - cm[1, 1]) <= _STRUCTURE_TOL * scale
-        and abs(cm[2, 2] - cm[3, 3]) <= _STRUCTURE_TOL * scale
-        and abs(cm[0, 2] + cm[1, 3]) <= _STRUCTURE_TOL * scale)
-    if not shape_ok:
-        raise ValueError(
-            "covariance matrix is not of the loss-applied two-mode-squeezed form")
-    energy = max(0.5 * (cm[2, 2] - 1.0), 0.0)
-    e_prime = max(0.5 * (cm[0, 0] - 1.0), 0.0)
-    if 0.5 * (cm[2, 2] - 1.0) < -1e-10 or 0.5 * (cm[0, 0] - 1.0) < -1e-10:
-        raise ValueError("covariance matrix below vacuum noise")
-    if energy == 0.0:
-        return 0.0, 1.0, e_prime
-    kappa = cm[0, 2] ** 2 / (4.0 * energy * (energy + 1.0))
-    n_b = e_prime - kappa * energy
-    if kappa > 1.0 + 1e-10 or n_b < -1e-10:
-        raise ValueError("covariance matrix is not reachable by thermal loss "
-                         "acting on a two-mode squeezed vacuum")
-    return energy, min(kappa, 1.0), max(n_b, 0.0)
 
 
 def _binomial_factor(n_rows, n_cols, first, stay, step):
@@ -216,41 +152,40 @@ def _default_cutoffs(energy, e_prime):
     return tuple(cuts)
 
 
-def fock_diagonal(st, cutoffs=None, tail_tol=_DEFAULT_TAIL):
-    """Joint Fock-basis diagonal of a loss-applied TMSV state.
+def fock_diagonal(energy, ch, cutoffs=None, tail_tol=_DEFAULT_TAIL):
+    """Joint Fock-basis diagonal of a TMSV whose signal arm crossed ``ch``.
 
     The TMSV's perfect number correlation survives loss as a classical
-    coupling: p[j, k] = w_k T(j | k) with w the idler's thermal law and T the
-    channel's photon-number kernel.  The omitted mass is certified from the
-    idler's geometric tail plus the kernel columns' deficits.  With explicit
-    ``cutoffs`` a certification above ``tail_tol`` raises TailBoundError;
-    the defaults (mean + 12 sigma per mode, at least 16) auto-extend until
-    the certification passes, since heavy thermal tails can need more room
-    than the 12-sigma rule provides.
+    coupling: p[j, k] = w_k T(j | k) with w the idler's thermal law at mean
+    ``energy`` and T the channel's photon-number kernel.  The omitted mass is
+    certified from the idler's geometric tail plus the kernel columns'
+    deficits.  With explicit ``cutoffs`` a certification above ``tail_tol``
+    raises TailBoundError; the defaults (mean + 12 sigma per mode, at least
+    16) auto-extend until the certification passes, since heavy thermal tails
+    can need more room than the 12-sigma rule provides.  Only one pass's
+    kernel is alive at a time, and the certified one becomes ``probs`` in
+    place.
     """
-    energy, kappa, n_b = _state_parameters(st)
-    e_prime = kappa * energy + n_b
+    check_photons(energy)
     auto = cutoffs is None
     if auto:
-        cutoffs = _default_cutoffs(energy, e_prime)
+        cutoffs = _default_cutoffs(energy, ch.output_mean(energy))
     cut_s, cut_i = int(cutoffs[0]), int(cutoffs[1])
     if cut_s < 1 or cut_i < 1:
         raise ValueError(f"cutoffs must be positive, got {cutoffs}")
 
     for _ in range(64):
         log_w = _idler_log_weights(energy, cut_i)
-        log_t = _number_kernel_log(kappa, n_b, cut_s, cut_i)
-        with np.errstate(invalid="ignore"):
-            probs = np.exp(log_t + log_w[None, :])
-
-        w = np.exp(log_w)
+        log_t = _number_kernel_log(ch.kappa, ch.n_b, cut_s, cut_i)
         idler_tail = 0.0 if energy == 0.0 else math.exp(
             cut_i * (math.log(energy) - math.log1p(energy)))
         col_deficit = np.clip(1.0 - np.exp(log_t).sum(axis=0), 0.0, None)
-        tail = idler_tail + float(w @ col_deficit) + 1e-14
+        signal_tail = float(np.exp(log_w) @ col_deficit)
+        tail = idler_tail + signal_tail + 1e-14
         if tail <= tail_tol:
-            return JointFockDiagonal(probs, tail)
-        grow_signal = float(w @ col_deficit) >= idler_tail
+            log_t += log_w[None, :]
+            return JointFockDiagonal(np.exp(log_t, out=log_t), tail)
+        grow_signal = signal_tail >= idler_tail
         suggestion = (math.ceil(cut_s * 1.4) + 8 if grow_signal else cut_s,
                       cut_i if grow_signal else math.ceil(cut_i * 1.4) + 8)
         if not auto:
@@ -258,15 +193,15 @@ def fock_diagonal(st, cutoffs=None, tail_tol=_DEFAULT_TAIL):
                 f"certified tail {tail:.3e} above {tail_tol:.1e} at cutoffs "
                 f"({cut_s}, {cut_i}); try {suggestion}", suggested=suggestion)
         cut_s, cut_i = suggestion
+        del log_t  # freed before the next, larger kernel is built
     raise TailBoundError(
         f"tail certification still above {tail_tol:.1e} after auto-extension")
 
 
 def holevo_phase_encoding(energy, ch, cutoffs=None):
     """Holevo information in bits of the continuous-phase TMSV ensemble."""
-    st = tmsv_through_loss(energy, ch)
-    diag = fock_diagonal(st, cutoffs=cutoffs)
-    chi = diag.entropy_bits() - gaussian_conditional_entropy(st)
+    diag = fock_diagonal(energy, ch, cutoffs=cutoffs)
+    chi = shannon_entropy(diag) - gaussian_conditional_entropy(energy, ch)
     if chi < -1e-10:
         raise ContractViolation(
             f"negative Holevo information {chi} for kappa={ch.kappa}, "

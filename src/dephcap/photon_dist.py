@@ -112,7 +112,7 @@ def build_from_ratios(ratio):
                  else _TailCertificate(),
                  _geometric_tail(probs[-1], ratio(hi)))
         short = [c is None or c.mass > 0.5 * _TAIL_MASS
-                 or c.entropy_bits > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
+                 or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
         if not any(short):
             break
         left, right = (2 * left if short[0] else left,
@@ -123,7 +123,7 @@ def build_from_ratios(ratio):
 @dataclass
 class _TailCertificate:
     mass: float = 0.0
-    entropy_bits: float = 0.0
+    entropy: float = 0.0  # bits
 
 
 def _geometric_tail(p, ratio):

@@ -70,12 +70,23 @@ def shannon_entropy(p, mass_tol=1e-9):
     return float(-np.sum(nz * np.log2(nz)))
 
 
+def check_photons(value, name="energy"):
+    """``value`` if it is a finite, nonnegative mean photon number.
+
+    The one check for input energies and added noise: NaN and infinity
+    fail it too, so no later comparison or cutoff sees them.
+    """
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def check_block(m, energy, integer=True):
     """Validated (m, E) of an m-mode block at mean photon number E per mode.
 
     ``m`` must be a positive integer and is returned as int; with
     ``integer=False`` any real m >= 1 is accepted and returned as float, so
-    log-spaced mode grids stay exact.  ``energy`` must be nonnegative.
+    log-spaced mode grids stay exact.  ``energy`` must pass check_photons.
     """
     if integer:
         if not float(m).is_integer() or m < 1:
@@ -85,9 +96,7 @@ def check_block(m, energy, integer=True):
         raise ValueError(f"mode count must be >= 1, got {m}")
     else:
         m = float(m)
-    if energy < 0.0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
-    return m, energy
+    return m, check_photons(energy)
 
 
 def anchored_products(ratios, anchor):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .special_math import thermal_entropy_g
+from .special_math import check_photons, thermal_entropy_g
 
 _CLAMP = 1e-12
 
@@ -23,8 +23,7 @@ class ThermalLossChannel:
     def __post_init__(self):
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1], got {self.kappa}")
-        if self.n_b < 0.0:
-            raise ValueError(f"added noise must be nonnegative, got {self.n_b}")
+        check_photons(self.n_b, "added noise")
         if self.kappa == 1.0 and self.n_b != 0.0:
             raise ValueError("a lossless channel cannot add thermal noise")
 
@@ -64,8 +63,7 @@ def _intermediates(ch, energy):
 
 def ea_capacity(ch, energy):
     """Entanglement-assisted classical capacity in bits per channel use."""
-    if energy < 0.0:
-        raise ValueError(f"input energy must be nonnegative, got {energy}")
+    check_photons(energy)
     if energy == 0.0:
         return 0.0
     e_prime, _, a_plus, a_minus = _intermediates(ch, energy)
@@ -75,8 +73,7 @@ def ea_capacity(ch, energy):
 
 def hsw_capacity(ch, energy):
     """Unassisted (Holevo) classical capacity in bits per channel use."""
-    if energy < 0.0:
-        raise ValueError(f"input energy must be nonnegative, got {energy}")
+    check_photons(energy)
     if energy == 0.0:
         return 0.0
     return thermal_entropy_g(ch.output_mean(energy)) - thermal_entropy_g(ch.n_b)
@@ -106,8 +103,7 @@ class CapacityReport:
 
 
 def capacity_report(ch, energy):
-    if energy < 0.0:
-        raise ValueError(f"input energy must be nonnegative, got {energy}")
+    check_photons(energy)
     e_prime, big_d, a_plus, a_minus = _intermediates(ch, energy)
     ea = ea_capacity(ch, energy)
     hsw = hsw_capacity(ch, energy)

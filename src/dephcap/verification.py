@@ -95,10 +95,9 @@ def check_fock_diagonal_vs_dilation():
     """Number-kernel construction vs beamsplitter dilation, element by element."""
     kappa, n_b, energy, cutoff = 0.8, 0.5, 0.1, 20
     ch = ThermalLossChannel(kappa, n_b)
-    st = phase_encoding.tmsv_through_loss(energy, ch)
     # the 12-sigma default sits just above the requested cutoff here, so the
     # comparison certifies at a looser 1e-8 tail to stay at exactly (20, 20)
-    diag = phase_encoding.fock_diagonal(st, cutoffs=(cutoff, cutoff),
+    diag = phase_encoding.fock_diagonal(energy, ch, cutoffs=(cutoff, cutoff),
                                         tail_tol=1e-7)
     lossy = fock_oracle.apply_thermal_loss(
         fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
@@ -153,11 +152,12 @@ def check_symplectic_occupations():
         if kappa == 1.0 and n_b > 0.0:
             continue  # lossless channel admits no added noise
         ch = ThermalLossChannel(kappa, n_b)
-        st = phase_encoding.tmsv_through_loss(energy, ch)
+        nu_minus, nu_plus = phase_encoding.symplectic_eigenvalues(
+            phase_encoding.tmsv_through_loss(energy, ch))
         _, _, a_plus, a_minus = _intermediates(ch, energy)
         worst = max(worst,
-                    abs(0.5 * (st.nu_plus - 1.0) - max(a_plus, a_minus)),
-                    abs(0.5 * (st.nu_minus - 1.0) - min(a_plus, a_minus)))
+                    abs(0.5 * (nu_plus - 1.0) - max(a_plus, a_minus)),
+                    abs(0.5 * (nu_minus - 1.0) - min(a_plus, a_minus)))
     return CheckResult("symplectic occupations vs intermediates",
                        worst, 0.0, 1e-9)
 
@@ -173,7 +173,7 @@ def check_covariance_vs_dilation():
     lossy = fock_oracle.apply_thermal_loss(
         fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
     cm = fock_oracle.two_mode_covariance(lossy)
-    ref = phase_encoding.tmsv_through_loss(energy, ch).cm
+    ref = phase_encoding.tmsv_through_loss(energy, ch)
     return CheckResult("covariance matrix vs dilation",
                        float(np.abs(cm - ref).max()), 0.0, 1e-8)
 

@@ -15,7 +15,7 @@ from dephcap.dephasing_exact import (
     ea_capacity_pure_dephasing,
     optimal_total_distribution,
 )
-from dephcap.phase_encoding import fock_diagonal, holevo_phase_encoding, tmsv_through_loss
+from dephcap.phase_encoding import fock_diagonal, holevo_phase_encoding
 from dephcap.special_math import thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
@@ -156,7 +156,7 @@ def test_criterion_8_structural_invariants(crosschecks):
     mass_ok = all(
         d.probs.sum() <= 1.0 + 1e-10
         and d.probs.sum() + d.tail_bound >= 1.0 - 1e-10 for d in dists)
-    jd = fock_diagonal(tmsv_through_loss(0.001, ThermalLossChannel(0.8, 10.0)))
+    jd = fock_diagonal(0.001, ThermalLossChannel(0.8, 10.0))
     joint_ok = (jd.probs.sum() <= 1.0 + 1e-10
                 and jd.probs.sum() + jd.tail_bound >= 1.0 - 1e-10)
     ok = (idem.status == "pass" and idem.delta == 0.0

@@ -95,6 +95,41 @@ class TestCapacityCommand:
         capsys.readouterr()
 
 
+class TestBadPhotonNumbers:
+    """Negative, NaN and infinite photon numbers are domain errors everywhere."""
+
+    COMMANDS = {
+        "capacity-thermal": ["capacity", "--thermal-loss", "-k", "0.8"],
+        "capacity-dephasing": ["capacity", "--pure-dephasing", "-m", "2"],
+        "bounds": ["bounds", "-k", "0.8", "-m", "10"],
+        "fig2": ["fig2", "--m-max", "3"],
+        "fig3": ["fig3", "-m", "10"],
+        "phase-encoding": ["phase-encoding", "-k", "0.8"],
+    }
+
+    @staticmethod
+    def _assert_one_error_line(rc, captured):
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("energy", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_energy_exits_one(self, command, energy, tmp_path, capsys):
+        argv = self.COMMANDS[command] + ["-E", energy]
+        if command == "fig3":
+            argv += ["--out-dir", str(tmp_path)]
+        self._assert_one_error_line(cli.main(argv), capsys.readouterr())
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["capacity-thermal", "phase-encoding"])
+    def test_bad_added_noise_exits_one(self, command, noise, capsys):
+        argv = self.COMMANDS[command] + ["--nb", noise, "-E", "1"]
+        self._assert_one_error_line(cli.main(argv), capsys.readouterr())
+
+
 class TestPreviouslyFailingPoints:
     """Points where the law built from gammaln differences missed unit mass."""
 

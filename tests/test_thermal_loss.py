@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dephcap.errors import ContractViolation
-from dephcap.phase_encoding import gaussian_conditional_entropy, tmsv_through_loss
+from dephcap.phase_encoding import gaussian_conditional_entropy
 from dephcap.special_math import thermal_entropy_g
 from dephcap.thermal_loss import (
     CapacityReport,
@@ -156,8 +156,8 @@ class TestCapacityReport:
             self, kappa, n_b, energy):
         # The pair (a_plus, a_minus) must carry exactly the output-given-idler
         # entropy of the loss-applied two-mode squeezed state.
-        rep = capacity_report(ThermalLossChannel(kappa, n_b), energy)
-        st = tmsv_through_loss(energy, ThermalLossChannel(kappa, n_b))
-        want = gaussian_conditional_entropy(st)
+        ch = ThermalLossChannel(kappa, n_b)
+        rep = capacity_report(ch, energy)
+        want = gaussian_conditional_entropy(energy, ch)
         got = thermal_entropy_g(rep.a_plus) + thermal_entropy_g(rep.a_minus)
         assert abs(got - want) <= 1e-9
