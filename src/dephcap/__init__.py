@@ -24,7 +24,7 @@ from .dephasing_exact import (
     solve_dephasing,
     solve_lambda,
 )
-from .errors import ContractViolation, SolverError, TailBoundError
+from .errors import ContractViolation, SolverError
 from .phase_encoding import (
     JointFockDiagonal,
     fock_diagonal,
@@ -58,7 +58,6 @@ __all__ = [
     "JointFockDiagonal",
     "PhotonDistribution",
     "SolverError",
-    "TailBoundError",
     "ThermalLossChannel",
     "advantage_ratio",
     "bounds_report",

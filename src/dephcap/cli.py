@@ -21,7 +21,7 @@ import click
 
 from . import bounds as bounds_mod
 from . import dephasing_exact, phase_encoding, thermal_loss, verification
-from .errors import ContractViolation, SolverError, TailBoundError
+from .errors import ContractViolation, SolverError
 from .special_math import thermal_entropy_g
 from .thermal_loss import ThermalLossChannel
 
@@ -389,7 +389,7 @@ def main(argv=None):
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (ContractViolation, SolverError, TailBoundError) as exc:
+    except (ContractViolation, SolverError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except MemoryError as exc:

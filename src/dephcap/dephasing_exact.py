@@ -57,6 +57,10 @@ def solve_lambda(m, energy, max_iter=100):
             lo = lam
         else:
             hi = lam
+        if var == 0.0:  # lambda ~ E/m or a bisection step rounded to 0
+            raise SolverError(
+                f"lambda solve underflowed to 0: E is too close to the "
+                f"smallest float (m={m}, E={energy})")
         step = lam * math.exp(min(-miss / var, 700.0))
         if not lo < step < hi:
             step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi

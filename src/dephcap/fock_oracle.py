@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import TailBoundError
 from .photon_dist import PhotonDistribution
 
 _HERM_TOL = 1e-10
@@ -167,46 +166,37 @@ def beamsplitter_blocks(theta, n_max):
     return blocks
 
 
-def _thermal_env(mean, cutoff, tail_tol=1e-10):
-    if mean == 0.0:
-        return np.array([1.0]), 1
-    q = mean / (mean + 1.0)
-    if cutoff is None:
-        cutoff = max(1, math.ceil(math.log(tail_tol) / math.log(q)))
-    tail = q ** cutoff
-    if tail > tail_tol:
-        need = math.ceil(math.log(tail_tol) / math.log(q))
-        raise TailBoundError(
-            f"environment cutoff {cutoff} leaves thermal tail {tail:.3e}; "
-            f"need about {need}", suggested=need)
-    return thermal_probs(mean, cutoff), cutoff
-
-
-def apply_thermal_loss(state, mode, kappa, n_b, env_cutoff=None):
-    """Thermal loss on one mode via its beamsplitter dilation.
+def apply_thermal_loss(state, mode, ch):
+    """Thermal loss ``ch`` on one mode via its beamsplitter dilation.
 
     The mode is mixed with a thermal environment of mean n_b/(1-kappa) on a
     beamsplitter of transmissivity kappa and the environment is traced out.
-    The environment input is truncated with a certified tail below 1e-10;
-    output photons above the mode's own cutoff are dropped, which is the only
-    other truncation (trace is preserved up to those tails).  kappa = 1 is the
-    identity and admits no added noise.
+    The environment input is truncated where its thermal tail drops below
+    1e-10; output photons above the mode's own cutoff are dropped, which is
+    the only other truncation (trace is preserved up to those tails).
+
+    The Kraus operators that move the mode from n to n + s photons share one
+    shift s, so their sum over the environment's input photon number k is
+    the single product G_s[n, n'] = sum_k tau_k A_s[k, n] A_s[k, n'], with
+    tau the environment's law and A_s[k, n] = U_{n+k}[n+s, n] the dilation
+    amplitude, and out[n+s, n'+s] = sum_s G_s[n, n'] rho[n, n'].
     """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"transmissivity must lie in (0, 1], got {kappa}")
-    if n_b < 0.0:
-        raise ValueError(f"added noise must be nonnegative, got {n_b}")
     if not 0 <= mode < len(state.dims):
         raise ValueError(f"mode {mode} out of range for dims {state.dims}")
-    if kappa == 1.0:
-        if n_b != 0.0:
-            raise ValueError("a lossless channel cannot add thermal noise")
+    if ch.kappa == 1.0:
         return state.copy()
 
-    env, n_env = _thermal_env(n_b / (1.0 - kappa), env_cutoff)
+    env_mean = ch.n_b / (1.0 - ch.kappa)
+    n_env = 1 if env_mean == 0.0 else max(1, math.ceil(
+        math.log(1e-10) / math.log(env_mean / (env_mean + 1.0))))
+    tau = thermal_probs(env_mean, n_env)
     d = state.dims[mode]
-    theta = math.acos(math.sqrt(kappa))
-    blocks = beamsplitter_blocks(theta, d - 1 + n_env - 1)
+    # amp[N, j, n] = <j, N-j| U |n, N-n> for j, n < d, zero where j or n > N
+    amp = np.zeros((d + n_env - 1, d, d))
+    for total, block in enumerate(
+            beamsplitter_blocks(math.acos(math.sqrt(ch.kappa)), d + n_env - 2)):
+        w = min(total + 1, d)
+        amp[total, :w, :w] = block[:w, :w]
 
     n_modes = len(state.dims)
     work = state.data.reshape(state.dims + state.dims)
@@ -215,45 +205,17 @@ def apply_thermal_loss(state, mode, kappa, n_b, env_cutoff=None):
     work = work.reshape(d, d, -1)
     out = np.zeros_like(work)
 
-    for k, tau in enumerate(env):
-        for e in range(d + k):
-            n_lo = max(0, e - k)
-            n_hi = min(d - 1, d - 1 - k + e)
-            if n_hi < n_lo:
-                continue
-            ns = np.arange(n_lo, n_hi + 1)
-            amp = np.array([blocks[n + k][n + k - e, n] for n in ns])
-            j_lo = n_lo + k - e
-            sl_in = slice(n_lo, n_hi + 1)
-            sl_out = slice(j_lo, j_lo + ns.size)
-            out[sl_out, sl_out, :] += (
-                tau * amp[:, None, None] * amp[None, :, None]
-                * work[sl_in, sl_in, :])
+    ks = np.arange(n_env)[:, None]
+    for s in range(1 - d, min(d, n_env)):
+        lo, hi = max(0, -s), min(d, d - s)  # input numbers n with n + s < d
+        ns = np.arange(lo, hi)
+        a_s = amp[ns + ks, ns + s, ns]
+        g_s = (tau[:, None] * a_s).T @ a_s
+        out[lo + s:hi + s, lo + s:hi + s] += g_s[:, :, None] * work[lo:hi, lo:hi]
 
     out = out.reshape((d, d) + rest_shape)
     out = np.moveaxis(out, (0, 1), (mode, n_modes + mode))
     return FockOperator(state.dims, out.reshape(state.data.shape))
-
-
-def partial_trace(state, keep):
-    """Reduced state on the ``keep`` subset of modes (order preserved)."""
-    keep = list(keep)
-    n_modes = len(state.dims)
-    if len(set(keep)) != len(keep) or any(not 0 <= m < n_modes for m in keep):
-        raise ValueError(f"invalid mode subset {keep}")
-    drop = [m for m in range(n_modes) if m not in keep]
-    work = state.data.reshape(state.dims + state.dims)
-    for m in sorted(drop, reverse=True):
-        work = np.trace(work, axis1=m, axis2=work.ndim // 2 + m)
-    # remaining mode order follows the original ordering, not `keep`'s order
-    kept_sorted = sorted(keep)
-    if kept_sorted != keep:
-        perm = [kept_sorted.index(m) for m in keep]
-        work = np.transpose(
-            work, perm + [len(keep) + p for p in perm])
-    new_dims = tuple(state.dims[m] for m in keep)
-    dim = int(np.prod(new_dims))
-    return FockOperator(new_dims, work.reshape(dim, dim))
 
 
 def von_neumann_entropy(state):
@@ -271,17 +233,6 @@ def von_neumann_entropy(state):
         raise ValueError(f"eigenvalue {w.min()} too negative for a state")
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
-
-
-def mutual_information(state, part_a):
-    """I(A:B) = S(A) + S(B) - S(AB) across the (part_a, rest) bipartition."""
-    part_a = list(part_a)
-    part_b = [m for m in range(len(state.dims)) if m not in part_a]
-    if not part_a or not part_b:
-        raise ValueError("bipartition must be nontrivial")
-    return (von_neumann_entropy(partial_trace(state, part_a))
-            + von_neumann_entropy(partial_trace(state, part_b))
-            - von_neumann_entropy(state))
 
 
 def holevo_information(ensemble):
@@ -348,8 +299,10 @@ def _ladder(dim):
 def two_mode_covariance(state):
     """4x4 covariance matrix (vacuum = identity) of a two-mode state.
 
-    Computed from ladder-operator second moments; first moments are subtracted
-    so the result matches the Gaussian-state convention used elsewhere.
+    Computed from ladder-operator second moments, with
+    Tr(rho q_r q_c) = sum((q_c rho) * q_r^T) so that only the four products
+    q_c rho are formed; first moments are subtracted so the result matches
+    the Gaussian-state convention used elsewhere.
     """
     if len(state.dims) != 2:
         raise ValueError("covariance extraction needs exactly two modes")
@@ -360,11 +313,8 @@ def two_mode_covariance(state):
     for a in (a0, a1):
         quads.append(a + a.conj().T)              # x
         quads.append(-1j * (a - a.conj().T))      # p
-    rho = state.data
-    means = [np.real(np.trace(rho @ q)) for q in quads]
-    cm = np.zeros((4, 4))
-    for r in range(4):
-        for c in range(4):
-            sym = 0.5 * (quads[r] @ quads[c] + quads[c] @ quads[r])
-            cm[r, c] = np.real(np.trace(rho @ sym)) - means[r] * means[c]
-    return cm
+    q_rho = [q @ state.data for q in quads]
+    means = [np.real(np.trace(m)) for m in q_rho]
+    second = np.array([[np.real(np.sum(q_rho[c] * quads[r].T)) for c in range(4)]
+                       for r in range(4)])
+    return 0.5 * (second + second.T) - np.outer(means, means)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import ContractViolation, SolverError, TailBoundError
+from .errors import ContractViolation, SolverError
 from .special_math import check_photons, shannon_entropy, thermal_entropy_g
 
-_DEFAULT_TAIL = 1e-9
+_TAIL_TOL = 1e-9
 # Float64 cells allowed for the Fock kernel's two factors plus their product
 # (200 MB).  E = 100 needs 1.5e7 at its final cutoffs (2096, 2580) for
 # kappa = 0.8, n_b = 1; E = 1000 would need 3.8e8 at its default ones.
@@ -152,28 +152,21 @@ def _default_cutoffs(energy, e_prime):
     return tuple(cuts)
 
 
-def fock_diagonal(energy, ch, cutoffs=None, tail_tol=_DEFAULT_TAIL):
+def fock_diagonal(energy, ch):
     """Joint Fock-basis diagonal of a TMSV whose signal arm crossed ``ch``.
 
     The TMSV's perfect number correlation survives loss as a classical
     coupling: p[j, k] = w_k T(j | k) with w the idler's thermal law at mean
     ``energy`` and T the channel's photon-number kernel.  The omitted mass is
     certified from the idler's geometric tail plus the kernel columns'
-    deficits.  With explicit ``cutoffs`` a certification above ``tail_tol``
-    raises TailBoundError; the defaults (mean + 12 sigma per mode, at least
-    16) auto-extend until the certification passes, since heavy thermal tails
-    can need more room than the 12-sigma rule provides.  Only one pass's
-    kernel is alive at a time, and the certified one becomes ``probs`` in
-    place.
+    deficits.  The cutoffs start at mean + 12 sigma per mode (at least 16)
+    and the mode with the larger tail grows until the certification passes,
+    since heavy thermal tails can need more room than the 12-sigma rule
+    provides.  Only one pass's kernel is alive at a time, and the certified
+    one becomes ``probs`` in place.
     """
     check_photons(energy)
-    auto = cutoffs is None
-    if auto:
-        cutoffs = _default_cutoffs(energy, ch.output_mean(energy))
-    cut_s, cut_i = int(cutoffs[0]), int(cutoffs[1])
-    if cut_s < 1 or cut_i < 1:
-        raise ValueError(f"cutoffs must be positive, got {cutoffs}")
-
+    cut_s, cut_i = _default_cutoffs(energy, ch.output_mean(energy))
     for _ in range(64):
         log_w = _idler_log_weights(energy, cut_i)
         log_t = _number_kernel_log(ch.kappa, ch.n_b, cut_s, cut_i)
@@ -182,25 +175,21 @@ def fock_diagonal(energy, ch, cutoffs=None, tail_tol=_DEFAULT_TAIL):
         col_deficit = np.clip(1.0 - np.exp(log_t).sum(axis=0), 0.0, None)
         signal_tail = float(np.exp(log_w) @ col_deficit)
         tail = idler_tail + signal_tail + 1e-14
-        if tail <= tail_tol:
+        if tail <= _TAIL_TOL:
             log_t += log_w[None, :]
             return JointFockDiagonal(np.exp(log_t, out=log_t), tail)
-        grow_signal = signal_tail >= idler_tail
-        suggestion = (math.ceil(cut_s * 1.4) + 8 if grow_signal else cut_s,
-                      cut_i if grow_signal else math.ceil(cut_i * 1.4) + 8)
-        if not auto:
-            raise TailBoundError(
-                f"certified tail {tail:.3e} above {tail_tol:.1e} at cutoffs "
-                f"({cut_s}, {cut_i}); try {suggestion}", suggested=suggestion)
-        cut_s, cut_i = suggestion
+        if signal_tail >= idler_tail:
+            cut_s = math.ceil(cut_s * 1.4) + 8
+        else:
+            cut_i = math.ceil(cut_i * 1.4) + 8
         del log_t  # freed before the next, larger kernel is built
-    raise TailBoundError(
-        f"tail certification still above {tail_tol:.1e} after auto-extension")
+    raise SolverError(
+        f"tail certification still above {_TAIL_TOL:.1e} after 64 passes")
 
 
-def holevo_phase_encoding(energy, ch, cutoffs=None):
+def holevo_phase_encoding(energy, ch):
     """Holevo information in bits of the continuous-phase TMSV ensemble."""
-    diag = fock_diagonal(energy, ch, cutoffs=cutoffs)
+    diag = fock_diagonal(energy, ch)
     chi = shannon_entropy(diag) - gaussian_conditional_entropy(energy, ch)
     if chi < -1e-10:
         raise ContractViolation(

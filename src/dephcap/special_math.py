@@ -21,13 +21,17 @@ def thermal_entropy_g(n):
     """Entropy in bits of a thermal (geometric) state with mean occupation ``n``.
 
     Evaluated as n*log1p(1/n) + log1p(n), which is free of cancellation for
-    both tiny and huge ``n``; the n -> 0 limit is 0.
+    both tiny and huge ``n``; the n -> 0 limit is 0.  Where 1/n overflows
+    (n below about 5.6e-309) the same sum is n (1 - ln n) to rounding.
     """
     if n < 0:
         raise ValueError(f"mean occupation must be nonnegative, got {n}")
     if n == 0:
         return 0.0
-    return (n * math.log1p(1.0 / n) + math.log1p(n)) / LN2
+    inv = 1.0 / n
+    if inv == math.inf:
+        return n * (1.0 - math.log(n)) / LN2
+    return (n * math.log1p(inv) + math.log1p(n)) / LN2
 
 
 def log_binomial(n, k):

@@ -93,24 +93,21 @@ def check_complementary_total_count():
 
 def check_fock_diagonal_vs_dilation():
     """Number-kernel construction vs beamsplitter dilation, element by element."""
-    kappa, n_b, energy, cutoff = 0.8, 0.5, 0.1, 20
-    ch = ThermalLossChannel(kappa, n_b)
-    # the 12-sigma default sits just above the requested cutoff here, so the
-    # comparison certifies at a looser 1e-8 tail to stay at exactly (20, 20)
-    diag = phase_encoding.fock_diagonal(energy, ch, cutoffs=(cutoff, cutoff),
-                                        tail_tol=1e-7)
+    ch, energy, cutoff = ThermalLossChannel(0.8, 0.5), 0.1, 20
+    probs = phase_encoding.fock_diagonal(energy, ch).probs
+    n_s, n_i = min(cutoff, probs.shape[0]), min(cutoff, probs.shape[1])
     lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
+        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
     dense = np.real(np.diag(lossy.data)).reshape(cutoff, cutoff)
-    worst = float(np.abs(diag.probs - dense).max())
+    worst = float(np.abs(probs[:n_s, :n_i] - dense[:n_s, :n_i]).max())
     return CheckResult("joint Fock diagonal vs dilation", worst, 0.0, 1e-8)
 
 
 def check_phase_average_diagonality():
     """Uniform phase randomization leaves no off-diagonal Fock elements."""
-    kappa, n_b, energy, cutoff, n_phases = 0.8, 0.5, 0.1, 12, 64
+    energy, cutoff, n_phases = 0.1, 12, 64
     lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
+        fock_oracle.tmsv_state(energy, cutoff), 0, ThermalLossChannel(0.8, 0.5))
     avg = np.zeros_like(lossy.data)
     for k in range(n_phases):
         theta = 2.0 * math.pi * k / n_phases
@@ -123,10 +120,9 @@ def check_phase_average_diagonality():
 
 def check_discrete_phase_holevo():
     """Holevo information of a 64-phase ensemble vs the continuous formula."""
-    kappa, n_b, energy, cutoff, n_phases = 0.8, 0.5, 0.1, 14, 64
-    ch = ThermalLossChannel(kappa, n_b)
+    ch, energy, cutoff, n_phases = ThermalLossChannel(0.8, 0.5), 0.1, 14, 64
     lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
+        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
     ensemble = [
         (1.0 / n_phases,
          fock_oracle.apply_phase_shift(lossy, 0, 2.0 * math.pi * k / n_phases))
@@ -168,10 +164,9 @@ def check_covariance_vs_dilation():
     Moments weight the truncation tail by n^2, so this check needs a larger
     cutoff than the element-wise ones to reach its tolerance.
     """
-    kappa, n_b, energy, cutoff = 0.8, 0.5, 0.1, 28
-    ch = ThermalLossChannel(kappa, n_b)
+    ch, energy, cutoff = ThermalLossChannel(0.8, 0.5), 0.1, 28
     lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, kappa, n_b)
+        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
     cm = fock_oracle.two_mode_covariance(lossy)
     ref = phase_encoding.tmsv_through_loss(energy, ch)
     return CheckResult("covariance matrix vs dilation",
@@ -190,7 +185,7 @@ def check_loss_dephasing_commutation():
 
     def loss_both(s):
         for mode in (0, 1):
-            s = fock_oracle.apply_thermal_loss(s, mode, 0.7, 0.3)
+            s = fock_oracle.apply_thermal_loss(s, mode, ThermalLossChannel(0.7, 0.3))
         return s
 
     a = fock_oracle.apply_dephasing(loss_both(state)).data
@@ -221,7 +216,7 @@ def check_trace_preservation():
     """
     state = fock_oracle.tmsv_state(0.2, 24)
     deph = fock_oracle.apply_dephasing(state)
-    lossy = fock_oracle.apply_thermal_loss(state, 0, 0.6, 0.4)
+    lossy = fock_oracle.apply_thermal_loss(state, 0, ThermalLossChannel(0.6, 0.4))
     worst = max(abs(deph.trace().real - 1.0), abs(lossy.trace().real - 1.0))
     return CheckResult("trace preservation", worst, 0.0, 1e-9)
 

@@ -130,6 +130,47 @@ class TestBadPhotonNumbers:
         self._assert_one_error_line(cli.main(argv), capsys.readouterr())
 
 
+def _fields(text):
+    """(name, value) of every number in a JSON report or a CSV table."""
+    if text.startswith("{"):
+        def walk(obj, name):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    yield from walk(value, key)
+            elif isinstance(obj, (int, float)):
+                yield name, float(obj)
+        return list(walk(json.loads(text), ""))
+    header, *rows = [line.split(",") for line in text.strip().splitlines()]
+    return [(name, float(cell)) for row in rows for name, cell in zip(header, row)]
+
+
+class TestSubnormalPhotonNumbers:
+    """The smallest positive photon numbers give numbers or one error line."""
+
+    @pytest.mark.parametrize("argv, rc_want", [
+        ("capacity --thermal-loss -k 0.5 --nb 5e-324 -E 1", 0),
+        ("bounds -k 0.8 -E 5e-324 -m 10", 0),
+        ("fig2 -E 5e-324", 2),
+        ("fig2 -E 5e-324 --m-max 3", 2),
+        ("capacity --pure-dephasing -m 3 -E 5e-324", 2)])
+    def test_finite_numbers_or_one_error_line(self, argv, rc_want, capsys):
+        rc = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == rc_want
+        assert "Traceback" not in captured.err
+        if rc == 2:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(
+                "error: lambda solve underflowed to 0: E is too close to the "
+                "smallest float")
+            return
+        assert captured.err == ""
+        for name, value in _fields(captured.out):
+            # the asymptotic columns are documented as NaN out of regime
+            assert math.isfinite(value) or (
+                name.endswith("_asym") and math.isnan(value)), name
+
+
 class TestPreviouslyFailingPoints:
     """Points where the law built from gammaln differences missed unit mass."""
 

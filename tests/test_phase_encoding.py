@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dephcap.bounds import ea_lower_bound, entropy_total_asym, entropy_total_exact
-from dephcap.errors import SolverError, TailBoundError
+from dephcap.errors import SolverError
 from dephcap.phase_encoding import (
     _number_kernel_log,
     fock_diagonal,
@@ -117,12 +117,6 @@ class TestFockDiagonal:
         total = jd.probs.sum()
         assert total <= 1.0 + 1e-10
         assert total + jd.tail_bound >= 1.0 - 1e-10
-
-    def test_explicit_cutoffs_too_small(self):
-        with pytest.raises(TailBoundError) as err:
-            fock_diagonal(0.001, ThermalLossChannel(0.8, 10.0), cutoffs=(4, 4))
-        assert err.value.suggested is not None
-        assert err.value.suggested[0] > 4
 
     def test_entropy_matches_flat_shannon(self):
         jd = fock_diagonal(0.1, ThermalLossChannel(0.7, 0.5))

@@ -1,10 +1,12 @@
 """The benchmark's recorded outputs, replayed through the CLI.
 
-Every seed-0 op of ``perfbench/workloads.py`` except ``verify`` (which the
-acceptance tests cover) runs through ``cli.main`` and must pass the
-benchmark's own check in ``perfbench/checks.py``: the paper's invariants and
-a 1e-10-relative match against ``perfbench/reference.json``.  A change that
-moves an output past that tolerance fails here, not only in the benchmark.
+Every seed-0 op of ``perfbench/workloads.py`` runs through ``cli.main`` and
+must pass the benchmark's own check in ``perfbench/checks.py``: the paper's
+invariants and a 1e-10-relative match against ``perfbench/reference.json``.
+For ``verify`` that match covers each check's name, status, tolerance and
+reference, and the two computed values (the two-mode mutual information and
+the discrete-phase Holevo information).  A change that moves an output past
+that tolerance fails here, not only in the benchmark.
 """
 
 import contextlib
@@ -24,8 +26,7 @@ import workloads  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 OPS = [workloads.SETUP_OP] + [
-    op for name in workloads.WORKLOADS for op in workloads.passes(name, 0)[0]
-    if op.kind != "verify"]
+    op for name in workloads.WORKLOADS for op in workloads.passes(name, 0)[0]]
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.key)

@@ -6,6 +6,7 @@ rounded once to double precision.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -61,7 +62,16 @@ class TestThermalEntropy:
     def test_reference_value(self):
         assert thermal_entropy_g(10.0) == pytest.approx(G_OF_TEN, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [1e-300, 1e-12, 1e-3, 1e6, 1e15])
+    @pytest.mark.parametrize("n", [1e-310, 3e-309])
+    def test_subnormal_means_match_mpmath(self, n):
+        # 1/n overflows here; the reference sums n ln(1 + 1/n) + ln(1 + n)
+        # at 50 digits from the float64 input taken exactly
+        with mp.workdps(50):
+            x = mp.mpf(n)
+            want = float((x * mp.log1p(1 / x) + mp.log1p(x)) / mp.log(2))
+        assert abs(thermal_entropy_g(n) - want) <= 2e-16 * want
+
+    @pytest.mark.parametrize("n", [5e-324, 1e-300, 1e-12, 1e-3, 1e6, 1e15])
     def test_extreme_means_stay_finite_and_positive(self, n):
         val = thermal_entropy_g(n)
         assert math.isfinite(val)
