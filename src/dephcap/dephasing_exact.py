@@ -42,6 +42,8 @@ def solve_lambda(m, energy, max_iter=100):
         return 0.0
     target = m * energy
     lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
+    if hi == 1.0:  # no float is left between the root and the series' pole
+        raise SolverError(f"lambda bracket top rounded to 1 (m={m}, E={energy})")
     # both guesses are exact at m = 1; the first is the m -> infinity limit
     # (E/(E+1))^2, the second the E -> 0 limit, where the mean is m^2 lambda
     q = energy / (energy + 1.0)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .photon_dist import PhotonDistribution
 
@@ -99,10 +98,6 @@ def thermal_state(mean, dim):
     return FockOperator((dim,), np.diag(thermal_probs(mean, dim)).astype(complex))
 
 
-def tensor(a, b):
-    return FockOperator(a.dims + b.dims, np.kron(a.data, b.data))
-
-
 def tmsv_vector(energy, cutoff):
     """Two-mode squeezed vacuum amplitudes sqrt(E^n / (E+1)^(n+1)) on |n, n>."""
     amps = np.sqrt(thermal_probs(energy, cutoff))
@@ -135,14 +130,14 @@ def apply_dephasing(state, modes=None):
     return FockOperator(state.dims, np.where(mask, state.data, 0.0))
 
 
-def complementary_dephasing(state):
+def complementary_dephasing(dims, diag):
     """Distribution of the total photon number the environment learns.
 
     The dephasing environment sees exactly the block weights, i.e. the law of
-    the total photon number over all modes.
+    the total photon number over all modes, so only the state's Fock
+    diagonal ``diag`` (over the row-major basis of ``dims``) is read.
     """
-    tot = total_numbers(state.dims)
-    diag = np.real(np.diag(state.data))
+    tot = total_numbers(dims)
     probs = np.bincount(tot, weights=diag, minlength=int(tot.max()) + 1)
     return PhotonDistribution(probs, max(0.0, 1.0 - float(probs.sum())))
 
@@ -153,17 +148,18 @@ def beamsplitter_blocks(theta, n_max):
     Block N acts on span{|n>|N-n>, n = 0..N} and is built by exponentiating
     the tridiagonal generator, which keeps every block exactly unitary; the
     full beamsplitter is their direct sum since total photon number is
-    conserved.
+    conserved.  Yields the blocks for N = 0..n_max one at a time, so only
+    one is alive.
     """
-    blocks = []
+    from scipy.linalg import expm  # only the dilation needs scipy
+
     for total in range(n_max + 1):
         n = np.arange(total)
         gen = np.zeros((total + 1, total + 1))
         up = np.sqrt((n + 1.0) * (total - n))   # <n+1, N-n-1| a+ e |n, N-n>
         gen[n + 1, n] = up
         gen[n, n + 1] = -up
-        blocks.append(expm(theta * gen))
-    return blocks
+        yield expm(theta * gen)
 
 
 def apply_thermal_loss(state, mode, ch):
@@ -235,26 +231,6 @@ def von_neumann_entropy(state):
     return float(-np.sum(w * np.log2(w)))
 
 
-def holevo_information(ensemble):
-    """S(sum_x p_x rho_x) - sum_x p_x S(rho_x) in bits.
-
-    ``ensemble`` is a sequence of (probability, FockOperator) pairs over a
-    common space; probabilities must sum to 1.
-    """
-    probs = [p for p, _ in ensemble]
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"ensemble probabilities sum to {sum(probs)}")
-    if any(p < 0 for p in probs):
-        raise ValueError("negative ensemble probability")
-    states = [s for _, s in ensemble]
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise ValueError("ensemble members live on different spaces")
-    avg = FockOperator(dims, sum(p * s.data for p, s in ensemble))
-    return von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(s) for p, s in ensemble)
-
-
 def schmidt_dephased_mutual_information(pattern_probs, pattern_totals):
     """Mutual information of a number-correlated pure state after dephasing.
 
@@ -289,32 +265,42 @@ def schmidt_dephased_mutual_information(pattern_probs, pattern_totals):
     return 2.0 * s_marginal - s_joint
 
 
-def _ladder(dim):
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
+def _ladder_factors(d):
+    """One-mode factors (s, w) with <i - s|X|i> = w[i]: 1, a, a+, a a, a+ a, a a+,
+    truncated as the dense ladder matrix is (a a+ has no top-level weight)."""
+    n = np.arange(d, dtype=float)
+    return ((0, np.ones(d)), (1, np.sqrt(n)), (-1, np.sqrt(n + 1.0)),
+            (2, np.sqrt(n * (n - 1.0))), (0, n), (0, np.where(n < d - 1, n + 1.0, 0.0)))
 
 
 def two_mode_covariance(state):
     """4x4 covariance matrix (vacuum = identity) of a two-mode state.
 
-    Computed from ladder-operator second moments, with
-    Tr(rho q_r q_c) = sum((q_c rho) * q_r^T) so that only the four products
-    q_c rho are formed; first moments are subtracted so the result matches
-    the Gaussian-state convention used elsewhere.
+    Each moment Tr(rho X0 X1) of one-mode ladder factors reads one shifted
+    diagonal of rho, sum_i rho[i, i - s] <i - s|X0 X1|i>.  With
+    b = (a0, a0+, a1, a1+) and q = (x0, p0, x1, p1) = T b, the second moments
+    are T <b b^T> T^T, whose conjugate entries follow from rho = rho+; first
+    moments are subtracted to match the Gaussian-state convention used
+    elsewhere.
     """
     if len(state.dims) != 2:
         raise ValueError("covariance extraction needs exactly two modes")
-    d0, d1 = state.dims
-    a0 = np.kron(_ladder(d0), np.eye(d1))
-    a1 = np.kron(np.eye(d0), _ladder(d1))
-    quads = []
-    for a in (a0, a1):
-        quads.append(a + a.conj().T)              # x
-        quads.append(-1j * (a - a.conj().T))      # p
-    q_rho = [q @ state.data for q in quads]
-    means = [np.real(np.trace(m)) for m in q_rho]
-    second = np.array([[np.real(np.sum(q_rho[c] * quads[r].T)) for c in range(4)]
-                       for r in range(4)])
+    rho = state.data.reshape(state.dims + state.dims)
+
+    def moment(x0, x1):
+        (s0, w0), (s1, w1) = x0, x1
+        i0, i1 = (np.arange(max(0, s), min(w.size, w.size + s)) for s, w in (x0, x1))
+        return w0[i0] @ rho[i0[:, None], i1, i0[:, None] - s0, i1 - s1] @ w1[i1]
+
+    (one0, a0, _, aa0, ada0, aad0), (one1, a1, ad1, aa1, ada1, aad1) = (
+        _ladder_factors(d) for d in state.dims)
+    s0, s1, c, e = moment(aa0, one1), moment(one0, aa1), moment(a0, a1), moment(a0, ad1)
+    g = np.array([[s0, moment(aad0, one1), c, e],
+                  [moment(ada0, one1), np.conj(s0), np.conj(e), np.conj(c)],
+                  [c, np.conj(e), s1, moment(one0, aad1)],
+                  [e, np.conj(c), moment(one0, ada1), np.conj(s1)]])
+    m0, m1 = moment(a0, one1), moment(one0, a1)
+    t = np.kron(np.eye(2), [[1.0, 1.0], [-1j, 1j]])  # (x, p) = T (a, a+)
+    means = np.real(t @ [m0, np.conj(m0), m1, np.conj(m1)])
+    second = np.real(t @ g @ t.T)
     return 0.5 * (second + second.T) - np.outer(means, means)

@@ -107,6 +107,16 @@ def _binomial_factor(n_rows, n_cols, first, stay, step):
     return cols.T
 
 
+def _check_kernel_budget(n_out, n_in):
+    """Raise SolverError over budget; the cutoffs may be floats, inf included."""
+    k = min(n_out, n_in)
+    cells = k * n_in + k * n_out + n_out * n_in
+    if cells > _KERNEL_CELL_BUDGET:
+        raise SolverError(
+            f"Fock kernel at cutoffs ({n_out:.6g}, {n_in:.6g}) needs {8 * cells:.3g} "
+            f"bytes, above the budget of {8 * _KERNEL_CELL_BUDGET:.3g}")
+
+
 def _number_kernel_log(kappa, n_b, n_out, n_in):
     """ln T[j, n]: photon-number transition kernel of the thermal-loss channel.
 
@@ -120,12 +130,8 @@ def _number_kernel_log(kappa, n_b, n_out, n_in):
     -inf.  Raises SolverError, before allocating, when the two factors and
     the product would exceed ``_KERNEL_CELL_BUDGET`` float64 cells.
     """
+    _check_kernel_budget(n_out, n_in)
     k = min(n_out, n_in)
-    cells = k * n_in + k * n_out + n_out * n_in
-    if cells > _KERNEL_CELL_BUDGET:
-        raise SolverError(
-            f"Fock kernel at cutoffs ({n_out}, {n_in}) needs {8 * cells:.3g} "
-            f"bytes, above the budget of {8 * _KERNEL_CELL_BUDGET:.3g}")
     gain = n_b + 1.0
     k0 = kappa / gain
     thin = _binomial_factor(k, n_in, 1.0, 1.0 - k0, k0)
@@ -145,11 +151,11 @@ def _idler_log_weights(energy, n_in):
 
 
 def _default_cutoffs(energy, e_prime):
-    cuts = []
-    for mean in (e_prime, energy):
-        std = math.sqrt(mean * (mean + 1.0))
-        cuts.append(max(16, math.ceil(mean + 12.0 * std)))
-    return tuple(cuts)
+    # checked before rounding to int: 12 sigma overflows to inf at E = 1e300
+    cuts = [float(np.ceil(max(16.0, mean + 12.0 * math.sqrt(mean * (mean + 1.0)))))
+            for mean in (e_prime, energy)]
+    _check_kernel_budget(*cuts)
+    return tuple(int(c) for c in cuts)
 
 
 def fock_diagonal(energy, ch):

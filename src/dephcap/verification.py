@@ -83,8 +83,8 @@ def check_two_mode_optimal_input_mi():
 def check_complementary_total_count():
     """Environment of the dephasing channel sees a negative-binomial total."""
     cutoff, energy = 60, 1.0
-    one = fock_oracle.thermal_state(energy, cutoff)
-    dist = fock_oracle.complementary_dephasing(fock_oracle.tensor(one, one))
+    one = fock_oracle.thermal_probs(energy, cutoff)
+    dist = fock_oracle.complementary_dephasing((cutoff, cutoff), np.kron(one, one))
     ref = bounds.thermal_total_photon_dist(2, energy)
     n = cutoff  # totals below the per-mode cutoff have no missing patterns
     worst = float(np.abs(dist.probs[:n] - ref.probs[:n]).max())
@@ -119,15 +119,19 @@ def check_phase_average_diagonality():
 
 
 def check_discrete_phase_holevo():
-    """Holevo information of a 64-phase ensemble vs the continuous formula."""
+    """Holevo information of a 64-phase ensemble vs the continuous formula.
+
+    Every member is a unitary phase rotation of ``lossy`` and has its
+    entropy, so chi = S(average) - S(lossy).
+    """
     ch, energy, cutoff, n_phases = ThermalLossChannel(0.8, 0.5), 0.1, 14, 64
     lossy = fock_oracle.apply_thermal_loss(
         fock_oracle.tmsv_state(energy, cutoff), 0, ch)
-    ensemble = [
-        (1.0 / n_phases,
-         fock_oracle.apply_phase_shift(lossy, 0, 2.0 * math.pi * k / n_phases))
-        for k in range(n_phases)]
-    chi_dense = fock_oracle.holevo_information(ensemble)
+    avg = fock_oracle.FockOperator(lossy.dims, sum(
+        fock_oracle.apply_phase_shift(lossy, 0, 2.0 * math.pi * k / n_phases).data
+        for k in range(n_phases)) / n_phases)
+    chi_dense = (fock_oracle.von_neumann_entropy(avg)
+                 - fock_oracle.von_neumann_entropy(lossy))
     chi = phase_encoding.holevo_phase_encoding(energy, ch)
     return CheckResult("discrete-phase Holevo information",
                        chi_dense, chi, 1e-3)

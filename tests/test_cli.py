@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import click
 import pytest
@@ -220,10 +223,17 @@ class TestLargeEnergies:
         rep = json.loads(capsys.readouterr().out)
         assert 0.0 < rep["chi"] <= rep["ea"]
 
-    def test_phase_encoding_beyond_the_kernel_budget_exits_two(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        ("-k 0.8 --nb 1 -E 1000", "cutoffs (10419, 13006) needs 3.04e+09 bytes"),
+        # 12 sigma overflows to inf, which cannot be rounded to an int
+        ("-k 0.8 --nb 1 -E 1e300", "cutoffs (inf, inf) needs inf bytes"),
+        ("-k 0.5 --nb 1e300 -E 0.1", "cutoffs (inf, 16) needs inf bytes")],
+        ids=["E=1000", "E=1e300", "nb=1e300"])
+    def test_phase_encoding_beyond_the_kernel_budget_exits_two(
+            self, capsys, argv, message):
         tracemalloc.start()
         try:
-            rc = cli.main(["phase-encoding", "-k", "0.8", "--nb", "1", "-E", "1000"])
+            rc = cli.main(["phase-encoding", *argv.split()])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,9 +242,20 @@ class TestLargeEnergies:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(
-            "error: Fock kernel at cutoffs (10419, 13006) needs 3.04e+09 bytes")
+        assert lines[0].startswith(f"error: Fock kernel at {message}")
         assert peak < 10_000_000  # refused before any kernel array exists
+
+    @pytest.mark.parametrize("argv, m", [
+        ("capacity --pure-dephasing -m 3 -E 1e300", 3),
+        ("fig2 -E 1e300 --m-max 3", 1)], ids=["capacity", "fig2"])
+    def test_energy_beyond_double_precision_exits_two(self, capsys, argv, m):
+        # T/(T + 2m - 1) rounds to 1, the pole of the series lambda solves on
+        rc = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: lambda bracket top rounded to 1 (m={m}, E=1e+300)"]
 
     def test_bounds_at_large_energy(self, capsys):
         # A+ = 0 exactly here; formed as a difference of two numbers near 1e4
@@ -375,6 +396,15 @@ class TestEntryPoint:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "capacity" in capsys.readouterr().out
+
+    def test_import_leaves_scipy_unloaded(self):
+        # only verify's beamsplitter dilation imports scipy, when it runs
+        code = ("import sys, dephcap.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_console_script_is_installed(self):
         script = shutil.which("dephcap")

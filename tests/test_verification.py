@@ -3,7 +3,12 @@ test_acceptance.py, once, since several build large truncated spaces)."""
 
 import math
 
-from dephcap.verification import _ALL_CHECKS, CheckResult, _skipped
+import numpy as np
+
+from dephcap import fock_oracle as fo
+from dephcap.thermal_loss import ThermalLossChannel
+from dephcap.verification import (_ALL_CHECKS, CheckResult, _skipped,
+                                  check_discrete_phase_holevo)
 
 
 class TestCheckResult:
@@ -38,3 +43,15 @@ def test_registry_is_nonempty_and_named():
     assert len(_ALL_CHECKS) >= 10
     names = [fn.__name__ for fn in _ALL_CHECKS]
     assert len(set(names)) == len(names)
+
+
+def test_discrete_phase_holevo_is_the_ensemble_formula():
+    # the check takes every member's entropy to be S(lossy); here each of the
+    # 64 rotated states is diagonalised, as the full formula has it
+    lossy = fo.apply_thermal_loss(fo.tmsv_state(0.1, 14), 0, ThermalLossChannel(0.8, 0.5))
+    members = [fo.apply_phase_shift(lossy, 0, 2.0 * math.pi * k / 64) for k in range(64)]
+    entropies = np.array([fo.von_neumann_entropy(st) for st in members])
+    assert np.abs(entropies - fo.von_neumann_entropy(lossy)).max() <= 1e-12
+    avg = fo.FockOperator(lossy.dims, sum(st.data for st in members) / 64)
+    chi = fo.von_neumann_entropy(avg) - entropies.mean()
+    assert abs(chi - check_discrete_phase_holevo().value) <= 1e-12
