@@ -13,11 +13,26 @@ from dataclasses import dataclass
 
 from . import thermal_loss
 from .errors import ContractViolation
-from .photon_dist import build_from_ratios, point_mass
-from .special_math import check_block, shannon_entropy
+from .photon_dist import build_from_ratios, point_mass, scan_from_ratios
+from .special_math import check_block
 
 # entropy prefactor of a unit-variance Gaussian, ~4.1327
 GAUSSIAN_ENTROPY_FACTOR = math.sqrt(2.0 * math.pi * math.e)
+
+
+def _negative_binomial_ratio(m, energy):
+    # exact term ratios P(n+1)/P(n) = (n+m) q / (n+1): their products keep each
+    # entry at ~1e-13 relative, where gammaln differences overrun the 1e-12
+    # mass window once m reaches ~1e4
+    q = energy / (energy + 1.0)
+    return lambda n: (n + m) / (n + 1.0) * q
+
+
+def _check_moments(mean, variance, m, energy):
+    for name, got, want in (("mean", mean, m * energy),
+                            ("variance", variance, m * energy * (energy + 1.0))):
+        if abs(got - want) > 1e-9 * want:
+            raise ContractViolation(f"negative-binomial {name} {got} misses {want}")
 
 
 def thermal_total_photon_dist(m, energy):
@@ -32,31 +47,22 @@ def thermal_total_photon_dist(m, energy):
     m, energy = check_block(m, energy, integer=False)
     if energy == 0.0:
         return point_mass()
-
-    mean = m * energy
-    var = mean * (energy + 1.0)
-    q = energy / (energy + 1.0)
-    # Entries come from the exact term ratios P(n+1)/P(n) = (n+m) q / (n+1).
-    # Log-space construction via gammaln differences is out: its absolute
-    # error (~|lnGamma| * eps) alone overruns the 1e-12 mass window once m
-    # reaches ~1e4, while ratio products keep every entry at ~1e-13 relative.
-    dist = build_from_ratios(lambda n: (n + m) / (n + 1.0) * q)
-
-    if abs(dist.mean() - mean) > 1e-9 * mean:
-        raise ContractViolation(
-            f"negative-binomial mean {dist.mean()} misses {mean}")
-    if abs(dist.variance() - var) > 1e-9 * var:
-        raise ContractViolation(
-            f"negative-binomial variance {dist.variance()} misses {var}")
+    dist = build_from_ratios(_negative_binomial_ratio(m, energy))
+    _check_moments(dist.mean(), dist.variance(), m, energy)
     return dist
 
 
 def entropy_total_exact(m, energy):
     """Entropy in bits of the total-count negative-binomial law.
 
-    The certified cutoff keeps the truncation error below 1e-10 bits.
+    Streamed over thermal_total_photon_dist's window in O(chunk) memory.
     """
-    return shannon_entropy(thermal_total_photon_dist(m, energy))
+    m, energy = check_block(m, energy, integer=False)
+    if energy == 0.0:
+        return 0.0
+    entropy, mean, variance = scan_from_ratios(_negative_binomial_ratio(m, energy))
+    _check_moments(mean, variance, m, energy)
+    return entropy
 
 
 def entropy_total_asym(m, energy):

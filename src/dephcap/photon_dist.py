@@ -14,6 +14,7 @@ _TAIL_MASS = 1e-12
 _TAIL_ENTROPY_BITS = 1e-11
 # longest window built (80 MB of float64) before certification gives up
 _MAX_WINDOW = 10_000_000
+_CHUNK = 4096  # terms multiplied and summed per step of scan_from_ratios
 
 
 @dataclass
@@ -66,6 +67,8 @@ def _mode(ratio):
     """First n >= 0 with ratio(n) < 1, for a nonincreasing ratio that ends below 1."""
     lo, hi = -1, 1
     while ratio(hi) >= 1.0:
+        if hi > 2 ** 53:
+            raise SolverError("term ratios round to >= 1 up to n = 2^53: no mode")
         lo, hi = hi, 2 * hi
     while hi - lo > 1:  # ratio(lo) >= 1 > ratio(hi), with ratio(-1) taken as >= 1
         mid = (lo + hi) // 2
@@ -76,21 +79,15 @@ def _mode(ratio):
     return hi
 
 
-def build_from_ratios(ratio):
-    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
+def _certified_window(ratio, measure):
+    """(lo, tail mass bound, result) of the certified window of a ratio law.
 
-    ``ratio`` maps an ndarray (or int) of photon numbers to the exact ratios;
-    it must be positive and nonincreasing in n, and end below 1.  The terms
-    are products of these ratios anchored at the mode, renormalized over the
-    window, which is legitimate because the law is normalized by
-    construction.  The window first reaches 12 widths (at least 64 terms) to
-    each side of the mode.  Beyond it each side is bounded by a geometric
-    series (on the left with ratio 1/ratio(L-1), on the right with
-    ratio(R)), certifying the omitted mass below 1e-12 and its entropy below
-    1e-11 bits in total; a side that misses its half doubles its reach, and
-    a window beyond 1e7 terms is a SolverError.  The window starts at n = 0
-    whenever the left gap would be no wider than the window, so narrow laws
-    near the vacuum keep probs[n] = P(n).  Cost is O(sd), not O(mean).
+    ``measure(lo, hi, mode)`` returns (P(lo), P(hi), result) of the terms
+    n = lo..hi anchored at the mode.  The window first reaches 12 widths (at
+    least 64 terms) to each side of the mode, or from n = 0 when the left gap
+    is no wider than the window.  Each tail is bounded by a geometric series
+    (ratio 1/ratio(lo-1) left, ratio(hi) right) below 1e-12 of mass and
+    1e-11 bits in total; a short side doubles its reach, up to 1e7 terms.
     """
     mode = _mode(ratio)
     # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
@@ -106,18 +103,63 @@ def build_from_ratios(ratio):
         if hi - lo + 1 > _MAX_WINDOW:
             raise SolverError(
                 f"tail certification still open at a window of {_MAX_WINDOW} terms")
-        x = anchored_products(ratio(np.arange(lo, hi, dtype=float)), mode - lo)
-        probs = x / x.sum()
-        certs = (_geometric_tail(probs[0], 1.0 / ratio(lo - 1)) if lo > 0
+        p_lo, p_hi, result = measure(lo, hi, mode)
+        certs = (_geometric_tail(p_lo, 1.0 / ratio(lo - 1)) if lo > 0
                  else _TailCertificate(),
-                 _geometric_tail(probs[-1], ratio(hi)))
+                 _geometric_tail(p_hi, ratio(hi)))
         short = [c is None or c.mass > 0.5 * _TAIL_MASS
                  or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
         if not any(short):
-            break
+            return lo, certs[0].mass + certs[1].mass, result
         left, right = (2 * left if short[0] else left,
                        2 * right if short[1] else right)
-    return PhotonDistribution(probs, certs[0].mass + certs[1].mass, lo)
+
+
+def build_from_ratios(ratio):
+    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
+
+    ``ratio`` maps photon numbers (ndarray or int) to the exact ratios,
+    positive, nonincreasing and ending below 1; their products anchored at
+    the mode are renormalized over the window of _certified_window.
+    """
+    def measure(lo, hi, mode):
+        x = anchored_products(ratio(np.arange(lo, hi, dtype=float)), mode - lo)
+        probs = x / x.sum()
+        return probs[0], probs[-1], probs
+
+    lo, tail, probs = _certified_window(ratio, measure)
+    return PhotonDistribution(probs, tail, lo)
+
+
+def scan_from_ratios(ratio):
+    """(entropy in bits, mean, variance) over build_from_ratios' window.
+
+    Its terms x_n (x = 1 at the mode) are multiplied and summed _CHUNK at a
+    time.  H = ln S - sum x ln x / S with S = 1 + sum_{n != mode} x_n adds two
+    nonnegative terms and rounds no mass near 1 to 1.
+    """
+    def measure(lo, hi, mode):
+        # sums over n != mode of x, x ln x, (n-mode) x, (n-mode)^2 x; edge terms
+        sums, edges = np.zeros(4), []
+        for sign, reach in ((-1, mode - lo), (1, hi - mode)):
+            x_end = 1.0
+            for start in range(1, reach + 1, _CHUNK):
+                d = np.arange(start, min(start + _CHUNK, reach + 1), dtype=float)
+                f = ratio(mode + d - 1.0) if sign > 0 else 1.0 / ratio(mode - d)
+                f[0] *= x_end  # continues the previous chunk's product
+                x = np.cumprod(f)
+                x_end = x[-1]
+                sums += (x.sum(), x @ np.log(np.maximum(x, 5e-324)),
+                         sign * (d @ x), (d * d) @ x)
+            edges.append(x_end)
+        rest, xlnx, first, second = map(float, sums)
+        total = 1.0 + rest
+        shift = first / total
+        return edges[0] / total, edges[1] / total, (
+            (math.log1p(rest) - xlnx / total) / LN2,
+            mode + shift, second / total - shift * shift)
+
+    return _certified_window(ratio, measure)[2]
 
 
 @dataclass

@@ -140,10 +140,13 @@ def squared_binomial_law(m, z):
     ratios = ((m - 1.0 - k[:-1]) / (k[:-1] + 1.0)) ** 2 * z
     top = int(np.count_nonzero(ratios >= 1.0))  # ratios decrease in k
     w = anchored_products(ratios, top)
-    total = float(w.sum())
+    w[top] = 0.0  # Q = 1 + rest: log1p(rest) keeps the (m-1)^2 z of Q at tiny z
+    rest = float(w.sum())
+    w[top] = 1.0
+    total = 1.0 + rest
     mean_q = float(k @ w) / total
     var_q = float(((k - mean_q) ** 2) @ w) / total
-    log_q = math.log(total) + 2.0 * log_binomial(m - 1, top) + top * math.log(z)
+    log_q = math.log1p(rest) + 2.0 * log_binomial(m - 1, top) + top * math.log(z)
     geo = (2 * m - 1) * z / (1.0 - z)
     return ((1 - 2 * m) * math.log1p(-z) + log_q,
             geo + mean_q,

@@ -9,7 +9,7 @@ are known in closed form in terms of the thermal entropy function.
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolation
+from .errors import ContractViolation, SolverError
 from .special_math import check_photons, thermal_entropy_g
 
 _CLAMP = 1e-12
@@ -46,7 +46,7 @@ def _intermediates(ch, energy):
     """
     kappa, n_b = ch.kappa, ch.n_b
     e_prime = kappa * energy + n_b
-    d_sq_m1 = ((energy * (1.0 - kappa)) ** 2
+    d_sq_m1 = (energy * (1.0 - kappa) * (energy * (1.0 - kappa))  # ** 2 raises on overflow
                + 2.0 * energy * ((1.0 + kappa) * n_b + (1.0 - kappa))
                + n_b * n_b + 2.0 * n_b)
     big_d = math.sqrt(1.0 + d_sq_m1)
@@ -54,7 +54,10 @@ def _intermediates(ch, energy):
     larger = 0.5 * d_sq_m1 / (big_d + 1.0) + 0.5 * abs(gap)
     x = energy * (1.0 - kappa) + n_b + 1.0 + 2.0 * energy * n_b
     product = (2.0 * energy * (energy + 1.0) * n_b * (n_b + (1.0 - kappa))
-               / (x + big_d))
+               / (x + big_d)) if n_b > 0.0 else 0.0  # not inf * 0 = nan at huge E
+    if not math.isfinite(larger + product):
+        raise SolverError(f"thermal-loss occupations overflow double precision at "
+                          f"kappa={kappa}, n_b={n_b}, E={energy}")
     smaller = product / larger if larger > 0.0 else 0.0
     if gap >= 0.0:
         return e_prime, big_d, larger, smaller
@@ -107,6 +110,8 @@ def capacity_report(ch, energy):
     e_prime, big_d, a_plus, a_minus = _intermediates(ch, energy)
     ea = ea_capacity(ch, energy)
     hsw = hsw_capacity(ch, energy)
+    if energy > 0.0 and hsw == 0.0:
+        raise SolverError(f"unassisted capacity rounds to 0 at n_b={ch.n_b}, E={energy}")
     ratio = ea / hsw if energy > 0.0 else math.nan
     if ea < -_CLAMP or hsw < -_CLAMP or ea + _CLAMP < hsw:
         raise ContractViolation(

@@ -4,9 +4,13 @@ Reference constants were evaluated with mpmath at 50 significant digits.
 """
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dephcap.bounds import (
     BoundsReport,
@@ -18,7 +22,7 @@ from dephcap.bounds import (
     entropy_total_exact,
     thermal_total_photon_dist,
 )
-from dephcap.special_math import thermal_entropy_g
+from dephcap.special_math import shannon_entropy, thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
 # Law of the summed photon number at m=1e5, E=0.001.
@@ -103,6 +107,34 @@ class TestEntropyExact:
     def test_window_keeps_the_full_support_entropy(self, m):
         assert entropy_total_exact(m, 1.0) == pytest.approx(
             ENTROPY_E1_FULL_SUPPORT[m], abs=1e-10)
+
+    @pytest.mark.parametrize("energy", [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-16])
+    def test_single_mode_matches_mpmath_at_small_energy(self, energy):
+        # the law is geometric with P(0) = 1/(1+E), a mass within E of 1
+        # that must not be rounded to 1 before its -p log p is taken
+        with mp.workdps(50):
+            e = mp.mpf(energy)
+            want = float(((e + 1) * mp.log1p(e) - e * mp.log(e)) / mp.log(2))
+        assert entropy_total_exact(1, energy) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m, energy", [(1e7, 1.0), (1, 2e5)])
+    def test_memory_stays_at_one_chunk(self, m, energy):
+        # (1, 2e5) sums a 9.6e6-term window, 77 MB as one float64 array
+        tracemalloc.start()
+        try:
+            entropy_total_exact(m, energy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-3.0, 1.0))
+def test_streamed_entropy_matches_the_materialized_law(log_m, log_energy):
+    m, energy = 10.0 ** log_m, 10.0 ** log_energy
+    want = shannon_entropy(thermal_total_photon_dist(m, energy))
+    assert entropy_total_exact(m, energy) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestEntropyAsym:

@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import click
+import mpmath as mp
 import pytest
 
 from dephcap import cli
@@ -257,6 +258,32 @@ class TestLargeEnergies:
         assert captured.err.splitlines() == [
             f"error: lambda bracket top rounded to 1 (m={m}, E=1e+300)"]
 
+    @pytest.mark.parametrize("argv, message", [
+        ("capacity --thermal-loss -k 0.8 --nb 1 -E 1e300",
+         "thermal-loss occupations overflow double precision at kappa=0.8, "
+         "n_b=1.0, E=1e+300"),
+        ("bounds -k 0.8 --nb 1 -E 1e300 -m 10",
+         "thermal-loss occupations overflow double precision at kappa=0.8, "
+         "n_b=1.0, E=1e+300"),
+        # kappa E = 0.5 is lost to rounding beside n_b: hsw rounds to 0
+        ("capacity --thermal-loss -k 0.5 --nb 1e100 -E 1",
+         "unassisted capacity rounds to 0 at n_b=1e+100, E=1.0"),
+        ("capacity --thermal-loss -k 0.5 --nb 1e300 -E 1",
+         "thermal-loss occupations overflow double precision at kappa=0.5, "
+         "n_b=1e+300, E=1.0"),
+        # E/(E+1) rounds to 1, so every term ratio of the law is >= 1
+        ("bounds -k 1 -E 1e17 -m 1", "term ratios round to >= 1 up to n = 2^53")],
+        ids=["capacity-E", "bounds-E", "capacity-nb1e100", "capacity-nb1e300",
+             "bounds-no-mode"])
+    def test_overflow_exits_two_with_one_line(self, capsys, argv, message):
+        rc = cli.main(argv.split())
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
+
     def test_bounds_at_large_energy(self, capsys):
         # A+ = 0 exactly here; formed as a difference of two numbers near 1e4
         # it rounds to about -1.8e-12
@@ -306,6 +333,35 @@ class TestFig2Command:
         capsys.readouterr()
 
 
+def _exact_ratio_two_modes(energy):
+    """fig2's exact ratio at m = 2 from 50-digit mpmath.
+
+    At m = 2 the normalizer is S0 = (1 + l)/(1 - l)^3, whose mean
+    l (1/(1 + l) + 3/(1 - l)) is solved for 2E; the capacity is
+    ln S0 - 2E ln l nats, over 2 g(E).
+    """
+    with mp.workdps(50):
+        e = mp.mpf(energy)
+        lam = mp.findroot(lambda l: l * (1 / (1 + l) + 3 / (1 - l)) - 2 * e, e / 2)
+        cap = mp.log((1 + lam) / (1 - lam) ** 3) - 2 * e * mp.log(lam)
+        return float(cap / (2 * ((e + 1) * mp.log1p(e) - e * mp.log(e))))
+
+
+class TestTinyEnergies:
+    @pytest.mark.parametrize("energy", ["1e-5", "1e-8", "1e-9", "1e-12", "1e-14",
+                                        "1e-16"])
+    def test_fig2_matches_mpmath(self, energy, capsys):
+        # the lower bound's entropy and the exact capacity both sit within
+        # E of a mass or a normalizer of 1
+        assert cli.main(["fig2", "-E", energy, "--m-max", "3"]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        rows = [[float(cell) for cell in row.split(",")] for row in rows]
+        exact = [row[1] for row in rows]
+        assert len(exact) == 3 and 1.0 <= exact[0] < exact[1] < exact[2] <= 2.0
+        assert rows[0][2] == pytest.approx(1.0, rel=1e-11)  # H = g(E) at m = 1
+        assert exact[1] == pytest.approx(_exact_ratio_two_modes(energy), rel=1e-11)
+
+
 class TestFig3Command:
     def test_one_file_per_noise_level(self, tmp_path):
         rc = cli.main(["fig3", "--out-dir", str(tmp_path),
@@ -328,6 +384,19 @@ class TestFig3Command:
         assert not math.isnan(rows[-1][3])
         # The sandwich closes at the top of the grid.
         assert (upper - rows[-1][2]) / upper < 0.005
+
+    def test_one_entropy_per_grid_point(self, tmp_path, monkeypatch):
+        calls = []
+        exact = cli.bounds_mod.entropy_total_exact
+
+        def counted(m, energy):
+            calls.append(m)
+            return exact(m, energy)
+
+        monkeypatch.setattr(cli.bounds_mod, "entropy_total_exact", counted)
+        assert cli.main(["fig3", "--out-dir", str(tmp_path),
+                         "--modes", "1e1:1e7:1/dec"]) == 0
+        assert sorted(calls) == cli.parse_mode_grid("1e1:1e7:1/dec")
 
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         rc = cli.main(["fig3", "--out-dir", str(tmp_path), "--modes", "oops"])

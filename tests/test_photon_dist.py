@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dephcap.errors import SolverError
-from dephcap.photon_dist import PhotonDistribution, build_from_ratios
+from dephcap.photon_dist import PhotonDistribution, build_from_ratios, scan_from_ratios
+from dephcap.special_math import shannon_entropy
 
 
 def _negative_binomial(m, energy):
@@ -53,3 +54,16 @@ def test_window_too_long_is_a_solver_error():
     # a geometric law of mean 1e6 needs ~3e7 terms; refused before allocating
     with pytest.raises(SolverError):
         _negative_binomial(1.0, 1e6)
+
+
+@pytest.mark.parametrize("m, lam", [(3, 0.5), (200, 0.2), (5000, 0.9)])
+def test_scan_sums_the_window_the_builder_stores(m, lam):
+    # the optimal-input law; (5000, 0.9) spans many chunks on both sides
+    def ratio(n):
+        return ((n + m) / (n + 1.0)) ** 2 * lam
+
+    dist = build_from_ratios(ratio)
+    entropy, mean, variance = scan_from_ratios(ratio)
+    assert entropy == pytest.approx(shannon_entropy(dist), rel=1e-13, abs=0.0)
+    assert mean == pytest.approx(dist.mean(), rel=1e-13, abs=0.0)
+    assert variance == pytest.approx(dist.variance(), rel=1e-11, abs=0.0)

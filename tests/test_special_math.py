@@ -191,6 +191,15 @@ class TestSquaredBinomialSeries:
         assert squared_binomial_law(m, z)[2] == pytest.approx(
             (up - down) / (2.0 * h), rel=1e-7)
 
+    @pytest.mark.parametrize("m", [2, 3, 10, 50])
+    @pytest.mark.parametrize("z", [1e-9, 1e-12, 1e-16, 1e-300])
+    def test_tiny_argument_matches_mpmath(self, m, z):
+        # Q = 1 + (m-1)^2 z + ...: its ln must keep the part beside the 1;
+        # mpmath carries 50 digits beyond the ones that 1 + z spends on the 1
+        with mp.workdps(50 - int(math.log10(z))):
+            want = float(mp.log(mp.hyp2f1(m, m, 1, mp.mpf(z))))
+        assert _log_s0(m, z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_zero_argument(self):
         assert squared_binomial_law(3, 0.0) == (0.0, 0.0, 0.0)
 
