@@ -1,17 +1,12 @@
 """Capacities of bosonic channels under collective phase noise.
 
 Closed-form assisted/unassisted capacities for thermal-loss channels, exact
-optimal inputs for the multimode dephasing channel, capacity sandwiches for
-their composition, Holevo rates of phase-modulated entangled encodings, and
-a dense truncated-Fock simulator that cross-checks all of it.
+optimal inputs for the multimode dephasing channel, the total-count entropies
+that bound their composition, Holevo rates of phase-modulated entangled
+encodings, and a dense truncated-Fock simulator that cross-checks all of it.
 """
 
 from .bounds import (
-    BoundsReport,
-    bounds_report,
-    ea_lower_bound,
-    ea_lower_bound_asym,
-    ea_upper_bound,
     entropy_total_asym,
     entropy_total_exact,
     thermal_total_photon_dist,
@@ -28,8 +23,6 @@ from .errors import ContractViolation, SolverError
 from .phase_encoding import (
     JointFockDiagonal,
     fock_diagonal,
-    holevo_lb_with_dephasing,
-    holevo_lb_with_dephasing_asym,
     holevo_phase_encoding,
     symplectic_eigenvalues,
     tmsv_through_loss,
@@ -51,7 +44,6 @@ from .thermal_loss import (
 )
 
 __all__ = [
-    "BoundsReport",
     "CapacityReport",
     "ContractViolation",
     "DephasingSolution",
@@ -60,18 +52,12 @@ __all__ = [
     "SolverError",
     "ThermalLossChannel",
     "advantage_ratio",
-    "bounds_report",
     "capacity_report",
     "ea_capacity",
     "ea_capacity_pure_dephasing",
-    "ea_lower_bound",
-    "ea_lower_bound_asym",
-    "ea_upper_bound",
     "entropy_total_asym",
     "entropy_total_exact",
     "fock_diagonal",
-    "holevo_lb_with_dephasing",
-    "holevo_lb_with_dephasing_asym",
     "holevo_phase_encoding",
     "hsw_capacity",
     "hsw_capacity_pure_dephasing",

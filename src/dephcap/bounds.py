@@ -1,17 +1,15 @@
-"""Capacity bounds for thermal-loss channels preceded by collective dephasing.
+"""Total photon count of an m-mode block of thermal modes, and its entropy.
 
 Feeding each mode of an m-mode block with one arm of a two-mode squeezed
 vacuum state makes the block's total photon number negative-binomial
-distributed; sacrificing that total as side information costs its entropy,
-which yields a lower bound on the assisted capacity per mode.  The plain
-thermal-loss assisted capacity is an upper bound because dephasing only
-degrades the channel.
+distributed.  Sacrificing that total as side information costs its entropy
+H(N), so a rate R of the dephasing-free channel (its assisted capacity, or
+the Holevo rate of phase encoding) gives the lower bound R - H(N)/m per mode
+under collective dephasing; the command line forms those bounds.
 """
 
 import math
-from dataclasses import dataclass
 
-from . import thermal_loss
 from .errors import ContractViolation
 from .photon_dist import build_from_ratios, point_mass, scan_from_ratios
 from .special_math import check_block
@@ -78,56 +76,3 @@ def entropy_total_asym(m, energy):
         return math.nan
     return math.log2(arg)
 
-
-def ea_upper_bound(ch, energy):
-    """Assisted capacity per mode cannot exceed the dephasing-free value."""
-    return thermal_loss.ea_capacity(ch, energy)
-
-
-def ea_lower_bound(m, ch, energy):
-    """Per-mode assisted rate guaranteed by sacrificing the block's total count."""
-    return thermal_loss.ea_capacity(ch, energy) - entropy_total_exact(m, energy) / float(m)
-
-
-def ea_lower_bound_asym(m, ch, energy):
-    """Same bound with the large-m entropy approximation (NaN out of regime)."""
-    return thermal_loss.ea_capacity(ch, energy) - entropy_total_asym(m, energy) / float(m)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    m: float
-    kappa: float
-    n_b: float
-    energy: float
-    upper: float
-    lower: float
-    lower_asym: float
-    entropy_exact: float
-    entropy_asym: float
-    baseline: float  # unassisted capacity used to normalize ratio columns
-
-    @property
-    def upper_ratio(self):
-        return self.upper / self.baseline
-
-    @property
-    def lower_ratio(self):
-        return self.lower / self.baseline
-
-    @property
-    def lower_asym_ratio(self):
-        return self.lower_asym / self.baseline
-
-
-def bounds_report(m, ch, energy):
-    m, energy = check_block(m, energy, integer=False)
-    upper = ea_upper_bound(ch, energy)
-    h_exact = entropy_total_exact(m, energy)
-    h_asym = entropy_total_asym(m, energy)
-    lower = upper - h_exact / m
-    lower_asym = upper - h_asym / m
-    if lower > upper + 1e-12:
-        raise ContractViolation(f"lower bound {lower} exceeds upper bound {upper}")
-    return BoundsReport(m, ch.kappa, ch.n_b, energy, upper, lower, lower_asym,
-                        h_exact, h_asym, thermal_loss.hsw_capacity(ch, energy))

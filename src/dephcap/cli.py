@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 
 import click
 
@@ -65,11 +64,16 @@ def _parallel_map(func, items):
         return list(pool.map(func, items))
 
 
+# Most points one sweep evaluates, counted before any list is built
+MAX_SWEEP_POINTS = 100_000
+
+
 def parse_mode_grid(spec):
     """Parse --modes: a single number or a log grid 'START:STOP:K/dec'.
 
     The grid places K points per decade at exponents lo + j/K, both
-    endpoints included, e.g. '1e1:1e7:10/dec' gives 61 values.
+    endpoints included, e.g. '1e1:1e7:10/dec' gives 61 values.  Values must
+    be finite, and a grid may hold at most MAX_SWEEP_POINTS points.
     """
     spec = spec.strip()
     if ":" not in spec:
@@ -79,6 +83,8 @@ def parse_mode_grid(spec):
             raise click.UsageError(f"cannot parse mode count {spec!r}")
         if not value >= 1.0:
             raise click.UsageError(f"mode count must be >= 1, got {spec!r}")
+        if value == math.inf:
+            raise click.UsageError(f"mode count must be finite, got {spec!r}")
         return [value]
     parts = spec.split(":")
     if len(parts) != 3 or not parts[2].endswith("/dec"):
@@ -93,9 +99,16 @@ def parse_mode_grid(spec):
     if not (1.0 <= start < stop) or per_dec < 1:
         raise click.UsageError(
             f"mode grid needs 1 <= START < STOP and K >= 1, got {spec!r}")
-    lo = math.log10(start)
-    hi = math.log10(stop)
-    n_steps = int(math.floor((hi - lo) * per_dec + 1e-9))
+    if stop == math.inf:
+        raise click.UsageError(f"mode grid needs a finite STOP, got {spec!r}")
+    lo, hi = math.log10(start), math.log10(stop)
+    try:
+        n_steps = math.floor((hi - lo) * per_dec + 1e-9)
+    except OverflowError:  # K beyond the float range
+        n_steps = math.inf
+    if n_steps + 1 > MAX_SWEEP_POINTS:
+        raise click.UsageError(f"mode grid {spec!r} exceeds the limit of "
+                               f"{MAX_SWEEP_POINTS} points per sweep")
     return [10.0 ** (lo + j / per_dec) for j in range(n_steps + 1)]
 
 
@@ -109,27 +122,33 @@ def _single_integer_modes(spec):
     return int(round(m))
 
 
-def _emit_csv(header, rows, out):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
+def _entropies(m, energy):
+    """(exact, asymptotic) entropy in bits of an m-mode block's total count.
+
+    Every dephased lower bound per mode is R - H/m, with R the assisted
+    capacity (also the upper bound) or the phase-encoding rate chi.
+    """
+    return (bounds_mod.entropy_total_exact(m, energy),
+            bounds_mod.entropy_total_asym(m, energy))
+
+
+def _write(text, out):
     if out is None:
         click.echo(text, nl=False)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
         click.echo(f"wrote {out}", err=True)
+
+
+def _emit_csv(header, rows, out):
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(float(v)) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", out)
 
 
 def _emit_json(obj, out):
-    text = json.dumps(_round_floats(obj), indent=2) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}", err=True)
+    _write(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
 @click.group()
@@ -206,20 +225,21 @@ def cmd_fig2(energy, m_max, out):
     """Capacity gain of joint phase references: ratios over m*g(E) for m=1..M."""
     if m_max < 1:
         raise click.UsageError(f"--m-max must be >= 1, got {m_max}")
-    ch = ThermalLossChannel(1.0, 0.0)
+    if m_max > MAX_SWEEP_POINTS:
+        raise click.UsageError(f"--m-max exceeds the limit of {MAX_SWEEP_POINTS} "
+                               "points per sweep")
+    if energy == 0.0:
+        raise ValueError("fig2 divides by g(E), which is 0 at E = 0")
     baseline_one = thermal_entropy_g(energy)
-
-    def one(m):
-        sol = dephasing_exact.solve_dephasing(m, energy)
-        # solve_dephasing reports total bits over the block, the bounds
-        # report per-mode bits; both ratios are per-mode over g(E)
-        return (float(m),
-                sol.capacity / (m * baseline_one),
-                bounds_mod.ea_lower_bound(m, ch, energy) / baseline_one,
-                bounds_mod.ea_lower_bound_asym(m, ch, energy) / baseline_one,
-                2.0)
-
-    rows = _parallel_map(one, range(1, m_max + 1))
+    ea = thermal_loss.ea_capacity(ThermalLossChannel(1.0, 0.0), energy)
+    points = _parallel_map(
+        lambda m: (dephasing_exact.solve_dephasing(m, energy), _entropies(m, energy)),
+        range(1, m_max + 1))
+    # solve_dephasing reports total bits over the block, the bounds per-mode
+    # bits; every ratio is per mode over g(E)
+    rows = [(float(m), sol.capacity / (m * baseline_one),
+             (ea - h_exact / m) / baseline_one, (ea - h_asym / m) / baseline_one, 2.0)
+            for m, (sol, (h_exact, h_asym)) in enumerate(points, start=1)]
     slack = 1e-12
     prev = 0.0
     for m, exact, lower, _, _ in rows:
@@ -256,6 +276,8 @@ def cmd_fig3(kappa, energy, nb, modes, out_dir):
     approximation is out of regime (variance too small).
     """
     grid = parse_mode_grid(modes)
+    if energy == 0.0:
+        raise ValueError("fig3 divides by the unassisted capacity, which is 0 at E = 0")
     os.makedirs(out_dir, exist_ok=True)
     curves = []
     for n_b in nb:
@@ -267,8 +289,7 @@ def cmd_fig3(kappa, energy, nb, modes, out_dir):
         curves.append((n_b, hsw, thermal_loss.ea_capacity(ch, energy),
                        phase_encoding.holevo_phase_encoding(energy, ch)))
     # the total-count entropies do not depend on the noise level: one each
-    entropies = _parallel_map(lambda m: (bounds_mod.entropy_total_exact(m, energy),
-                                         bounds_mod.entropy_total_asym(m, energy)), grid)
+    entropies = _parallel_map(lambda m: _entropies(m, energy), grid)
     for n_b, hsw, ea, chi in curves:
         rows = [(m, ea / hsw, (ea - h_exact / m) / hsw, (ea - h_asym / m) / hsw,
                  (chi - h_exact / m) / hsw, (chi - h_asym / m) / hsw)
@@ -302,13 +323,18 @@ def cmd_bounds(kappa, nb, energy, modes, out, fmt):
     """Sandwich of the dephased-channel capacity per mode, in bits."""
     grid = parse_mode_grid(modes)
     ch = ThermalLossChannel(kappa, nb)
-    reports = _parallel_map(lambda m: bounds_mod.bounds_report(m, ch, energy),
-                            grid)
+    upper = thermal_loss.ea_capacity(ch, energy)
+    baseline = thermal_loss.hsw_capacity(ch, energy)
+    entropies = _parallel_map(lambda m: _entropies(m, energy), grid)
+    rows = [(m, upper, upper - h_exact / m, upper - h_asym / m, h_exact, h_asym,
+             baseline) for m, (h_exact, h_asym) in zip(grid, entropies)]
+    for _, _, lower, *_ in rows:
+        if lower > upper + 1e-12:
+            raise ContractViolation(f"lower bound {lower} exceeds upper bound {upper}")
     if fmt == "json":
-        _emit_json([asdict(r) for r in reports], out)
+        _emit_json([{"m": m, "kappa": kappa, "n_b": nb, "energy": energy,
+                     **dict(zip(_BOUNDS_HEADER[1:], rest))} for m, *rest in rows], out)
     else:
-        rows = [(r.m, r.upper, r.lower, r.lower_asym, r.entropy_exact,
-                 r.entropy_asym, r.baseline) for r in reports]
         _emit_csv(_BOUNDS_HEADER, rows, out)
 
 
@@ -338,13 +364,9 @@ def cmd_phase_encoding(kappa, nb, energy, modes, out, fmt):
     mode_rows = None
     if modes is not None:
         grid = parse_mode_grid(modes)
-
-        def one(m):
-            return (m,
-                    phase_encoding.holevo_lb_with_dephasing(m, energy, ch, chi=chi),
-                    phase_encoding.holevo_lb_with_dephasing_asym(m, energy, ch, chi=chi))
-
-        mode_rows = _parallel_map(one, grid)
+        entropies = _parallel_map(lambda m: _entropies(m, energy), grid)
+        mode_rows = [(m, chi - h_exact / m, chi - h_asym / m)
+                     for m, (h_exact, h_asym) in zip(grid, entropies)]
     if fmt == "json":
         if mode_rows is not None:
             report["with_dephasing"] = [

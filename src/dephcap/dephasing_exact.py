@@ -113,6 +113,8 @@ class DephasingSolution:
     @property
     def unassisted_ratio(self):
         """Capacity over the m g(E) bits available without assistance."""
+        if self.energy == 0.0:  # both are 0
+            return math.nan
         return self.capacity / (self.m * thermal_entropy_g(self.energy))
 
 

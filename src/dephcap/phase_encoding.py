@@ -8,9 +8,7 @@ the continuous ensemble reduces to
     chi = H(joint Fock diagonal) - [g(A+) + g(A-)],
 
 where A+- are the effective thermal occupations of the (phase-independent)
-conditional state.  Subtracting the per-mode entropy cost of the block's
-total photon count turns chi into a rate achievable under collective
-dephasing.
+conditional state.
 """
 
 import math
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
 from .errors import ContractViolation, SolverError
 from .special_math import check_photons, shannon_entropy, thermal_entropy_g
 
@@ -195,6 +192,8 @@ def fock_diagonal(energy, ch):
 
 def holevo_phase_encoding(energy, ch):
     """Holevo information in bits of the continuous-phase TMSV ensemble."""
+    if check_photons(energy) == 0.0:  # nothing is encoded
+        return 0.0
     diag = fock_diagonal(energy, ch)
     chi = shannon_entropy(diag) - gaussian_conditional_entropy(energy, ch)
     if chi < -1e-10:
@@ -203,20 +202,3 @@ def holevo_phase_encoding(energy, ch):
             f"n_b={ch.n_b}, E={energy}")
     return max(chi, 0.0)
 
-
-def holevo_lb_with_dephasing(m, energy, ch, chi=None):
-    """Achievable bits per mode under collective dephasing: chi - H(total)/m.
-
-    ``chi`` may be passed in when sweeping over m so the (m-independent)
-    encoding rate is computed once.
-    """
-    if chi is None:
-        chi = holevo_phase_encoding(energy, ch)
-    return chi - bounds.entropy_total_exact(m, energy) / float(m)
-
-
-def holevo_lb_with_dephasing_asym(m, energy, ch, chi=None):
-    """Large-m variant; inherits NaN from the entropy approximation."""
-    if chi is None:
-        chi = holevo_phase_encoding(energy, ch)
-    return chi - bounds.entropy_total_asym(m, energy) / float(m)

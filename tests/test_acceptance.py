@@ -4,13 +4,14 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 per-criterion detail lines even on success).
 """
 
+import json
 import math
 import time
 
 import pytest
 
 from dephcap import cli, verification
-from dephcap.bounds import bounds_report, thermal_total_photon_dist
+from dephcap.bounds import thermal_total_photon_dist
 from dephcap.dephasing_exact import (
     ea_capacity_pure_dephasing,
     optimal_total_distribution,
@@ -91,22 +92,25 @@ def test_criterion_4_lossless_reductions(crosschecks):
 
 
 @pytest.mark.parametrize("n_b", [10.0, 1.0, 0.1, 0.01])
-def test_criterion_5_bounds_sweeps(n_b):
-    ch = ThermalLossChannel(0.8, n_b)
+def test_criterion_5_bounds_sweeps(n_b, capsys):
     start = time.perf_counter()
-    reports = [bounds_report(m, ch, 0.001) for m in MODE_GRID]
+    rc = cli.main(["bounds", "-k", "0.8", "--nb", f"{n_b:g}", "-E", "0.001",
+                   "-m", "1e1:1e7:10/dec", "--format", "json"])
     elapsed = time.perf_counter() - start
-    ordered = all(r.lower <= r.upper + 1e-12 for r in reports)
-    rel = [abs(r.entropy_exact - r.entropy_asym) / r.entropy_exact
-           for r in reports if r.m >= 1e4 - 1e-6]
+    assert rc == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["m"] for r in reports] == pytest.approx(MODE_GRID, rel=1e-11)
+    ordered = all(r["lower"] <= r["upper"] + 1e-12 for r in reports)
+    rel = [abs(r["entropy_exact"] - r["entropy_asym"]) / r["entropy_exact"]
+           for r in reports if r["m"] >= 1e4 - 1e-6]
     asym_close = all(v < 0.01 for v in rel)
     detail = (f"N_B={n_b:g}: lower<=upper={ordered}, "
               f"max |H_exact-H_asym|/H_exact for m>=1e4: {max(rel):.3%}, "
               f"sweep={elapsed:.2f}s")
     if n_b == 10.0:
         # Saturation scale: first grid point where the sandwich closes to 5%.
-        m_sat = next(r.m for r in reports
-                     if (r.upper - r.lower) / r.upper <= 0.05)
+        m_sat = next(r["m"] for r in reports
+                     if (r["upper"] - r["lower"]) / r["upper"] <= 0.05)
         detail += f", 5% saturation at m={m_sat:.4g}"
         ok = (ordered and asym_close and elapsed < 30.0
               and 10.0**4.5 <= m_sat <= 10.0**5.5)

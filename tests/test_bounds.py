@@ -1,8 +1,12 @@
 """Total-photon-number law of iid thermal blocks and the capacity bounds.
 
+A dephased lower bound per mode is ea_capacity - H(N_total)/m; the
+``bounds`` command forms it, and its JSON records are checked here.
+
 Reference constants were evaluated with mpmath at 50 significant digits.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -12,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dephcap import cli
 from dephcap.bounds import (
-    BoundsReport,
-    bounds_report,
-    ea_lower_bound,
-    ea_lower_bound_asym,
-    ea_upper_bound,
     entropy_total_asym,
     entropy_total_exact,
     thermal_total_photon_dist,
@@ -157,66 +157,85 @@ class TestEntropyAsym:
         assert rel[1] < rel[0]
 
 
+def _bounds_records(n_b, modes, capsys, kappa=0.8, energy=0.001):
+    """The ``bounds`` command's JSON records, at 12 significant digits."""
+    rc = cli.main(["bounds", "-k", str(kappa), "--nb", str(n_b),
+                   "-E", str(energy), "-m", modes, "--format", "json"])
+    assert rc == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _lower(m, ch, energy):
+    return ea_capacity(ch, energy) - entropy_total_exact(m, energy) / m
+
+
 class TestCapacityBounds:
-    def test_upper_bound_is_the_dephasing_free_capacity(self):
-        ch = ThermalLossChannel(0.8, 10.0)
-        assert ea_upper_bound(ch, 0.001) == ea_capacity(ch, 0.001)
+    def test_upper_bound_is_the_dephasing_free_capacity(self, capsys):
+        (rec,) = _bounds_records(10.0, "1e5", capsys)
+        assert rec["upper"] == pytest.approx(EA_08_10_0001, rel=1e-12)
 
     def test_lossless_reference_value(self):
-        got = ea_lower_bound(20, ThermalLossChannel(1.0, 0.0), 1.0)
+        got = _lower(20, ThermalLossChannel(1.0, 0.0), 1.0)
         assert got == pytest.approx(LOWER_M20_LOSSLESS, rel=1e-12)
 
-    def test_lower_bound_identity(self):
-        ch = ThermalLossChannel(0.8, 10.0)
+    def test_lower_bound_identity(self, capsys):
+        (rec,) = _bounds_records(10.0, "1e5", capsys)
         want = EA_08_10_0001 - entropy_total_exact(1e5, 0.001) / 1e5
-        assert ea_lower_bound(1e5, ch, 0.001) == pytest.approx(want, rel=1e-10)
+        assert rec["lower"] == pytest.approx(want, rel=1e-10)
 
-    def test_asym_lower_bound_closed_form(self):
-        ch = ThermalLossChannel(0.8, 1.0)
+    def test_asym_lower_bound_closed_form(self, capsys):
+        (rec,) = _bounds_records(1.0, "1e6", capsys)
         want = EA_08_1_0001 - 0.5 * math.log2(
             GAUSS_FLOOR * 1e6 * 0.001 * 1.001) / 1e6
-        assert ea_lower_bound_asym(1e6, ch, 0.001) == pytest.approx(
-            want, rel=1e-10)
+        assert rec["lower_asym"] == pytest.approx(want, rel=1e-10)
 
-    def test_asym_lower_bound_inherits_nan(self):
-        ch = ThermalLossChannel(0.8, 10.0)
-        assert math.isnan(ea_lower_bound_asym(10, ch, 0.001))
+    def test_asym_lower_bound_inherits_nan(self, capsys):
+        (rec,) = _bounds_records(10.0, "10", capsys)
+        assert math.isnan(rec["entropy_asym"]) and math.isnan(rec["lower_asym"])
+        assert math.isfinite(rec["lower"])
 
     def test_gap_closes_at_huge_mode_counts(self):
         ch = ThermalLossChannel(0.8, 10.0)
-        gap = ea_upper_bound(ch, 0.001) - ea_lower_bound(1e8, ch, 0.001)
+        gap = ea_capacity(ch, 0.001) - _lower(1e8, ch, 0.001)
         assert 0.0 < gap < 1e-3
 
     @pytest.mark.parametrize("n_b", [10.0, 1.0, 0.1, 0.01])
-    @pytest.mark.parametrize("exp", range(1, 8))
-    def test_bound_ordering(self, n_b, exp):
-        rep = bounds_report(10.0**exp, ThermalLossChannel(0.8, n_b), 0.001)
-        assert rep.lower <= rep.upper + 1e-12
-        if not math.isnan(rep.lower_asym):
-            assert rep.lower_asym <= rep.upper + 1e-12
+    def test_bound_ordering(self, n_b, capsys):
+        recs = _bounds_records(n_b, "1e1:1e7:1/dec", capsys)
+        assert [r["m"] for r in recs] == pytest.approx(
+            [10.0**exp for exp in range(1, 8)], rel=1e-12)
+        for rec in recs:
+            assert rec["lower"] <= rec["upper"] + 1e-12
+            if not math.isnan(rec["lower_asym"]):
+                assert rec["lower_asym"] <= rec["upper"] + 1e-12
 
     def test_scaled_gap_varies_slowly(self):
         # m (upper - lower) / log2(m) should drift, not jump, across decades.
         ch = ThermalLossChannel(0.8, 10.0)
-        upper = ea_upper_bound(ch, 0.001)
-        vals = [m * (upper - ea_lower_bound(m, ch, 0.001)) / math.log2(m)
+        upper = ea_capacity(ch, 0.001)
+        vals = [m * (upper - _lower(m, ch, 0.001)) / math.log2(m)
                 for m in (1e5, 1e6, 1e7)]
         assert all(0.1 < v < 10.0 for v in vals)
         assert all(0.9 < b / a < 1.3 for a, b in zip(vals, vals[1:]))
 
 
-class TestBoundsReport:
-    def test_fields_and_ratios(self):
+class TestBoundsRecords:
+    def test_fields(self, capsys):
         ch = ThermalLossChannel(0.8, 10.0)
-        rep = bounds_report(1e5, ch, 0.001)
-        assert isinstance(rep, BoundsReport)
-        assert (rep.m, rep.kappa, rep.n_b, rep.energy) == (1e5, 0.8, 10.0, 0.001)
-        assert rep.baseline == pytest.approx(hsw_capacity(ch, 0.001), rel=1e-15)
-        assert rep.upper_ratio == pytest.approx(rep.upper / rep.baseline, rel=1e-15)
-        assert rep.lower_ratio == pytest.approx(rep.lower / rep.baseline, rel=1e-15)
-        assert rep.lower == pytest.approx(
-            rep.upper - rep.entropy_exact / rep.m, rel=1e-12)
+        (rec,) = _bounds_records(10.0, "1e5", capsys)
+        assert list(rec) == ["m", "kappa", "n_b", "energy", "upper", "lower",
+                             "lower_asym", "entropy_exact", "entropy_asym",
+                             "baseline"]
+        assert (rec["m"], rec["kappa"], rec["n_b"], rec["energy"]) == (
+            1e5, 0.8, 10.0, 0.001)
+        # each printed value carries up to 5e-13 relative of rounding
+        assert rec["baseline"] == pytest.approx(hsw_capacity(ch, 0.001), rel=1e-12)
+        assert rec["lower"] == pytest.approx(
+            rec["upper"] - rec["entropy_exact"] / rec["m"], rel=2e-12)
 
-    def test_mode_count_below_one_rejected(self):
+    def test_mode_count_below_one_rejected(self, capsys):
+        assert cli.main(["bounds", "-k", "0.8", "--nb", "10", "-E", "0.001",
+                         "-m", "0.5"]) == 1
+        assert "mode count must be >= 1" in capsys.readouterr().err
         with pytest.raises(ValueError):
-            bounds_report(0.5, ThermalLossChannel(0.8, 10.0), 0.001)
+            entropy_total_exact(0.5, 0.001)

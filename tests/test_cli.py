@@ -38,11 +38,43 @@ class TestModeGrid:
 
     @pytest.mark.parametrize("spec", [
         "abc", "1e7:1e1:10/dec", "1e1:1e7:0/dec", "1e1:1e7:10", "0.5",
-        "1e1:1e7:10/oct", "",
+        "1e1:1e7:10/oct", "", "inf", "1e400", "1:inf:1/dec", "1:1e400:1/dec",
+        "1:10:100000/dec", "1:1e300:100000000/dec", f"1:10:{10**400}/dec",
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(click.UsageError):
             cli.parse_mode_grid(spec)
+
+    def test_longest_sweep_accepted(self):
+        grid = cli.parse_mode_grid("1:10:99999/dec")
+        assert len(grid) == cli.MAX_SWEEP_POINTS
+        assert grid[-1] == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, message", [
+        ("bounds -k 0.8 -E 1 -m 1:inf:1/dec", "finite STOP"),
+        ("bounds -k 0.8 -E 1 -m 1:1e400:1/dec", "finite STOP"),
+        ("fig3 -m 1:inf:1/dec", "finite STOP"),
+        ("phase-encoding -k 0.8 -E 0.001 -m 1:1e400:1/dec", "finite STOP"),
+        ("capacity --pure-dephasing -m inf -E 1", "mode count must be finite"),
+        ("bounds -k 0.8 -E 1 -m 1:1e300:100000000/dec",
+         "exceeds the limit of 100000 points per sweep"),
+        ("fig2 --m-max 1000000000", "exceeds the limit of 100000 points per sweep"),
+    ])
+    def test_unbounded_sweeps_exit_one_before_allocating(self, argv, message,
+                                                         tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv.split() + (["--out-dir", str(tmp_path)]
+                                          if argv.startswith("fig3") else []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0], err
+        assert "Traceback" not in err
+        assert peak < 1_000_000
 
 
 class TestCapacityCommand:
@@ -173,6 +205,36 @@ class TestSubnormalPhotonNumbers:
             # the asymptotic columns are documented as NaN out of regime
             assert math.isfinite(value) or (
                 name.endswith("_asym") and math.isnan(value)), name
+
+
+class TestZeroEnergy:
+    """E = 0 gives zero rates, or exit 1 where a ratio would divide by 0."""
+
+    @pytest.mark.parametrize("argv", [
+        "capacity --pure-dephasing -E 0",
+        "capacity --pure-dephasing -m 7 -E 0",
+        "phase-encoding -k 0.8 --nb 1 -E 0",
+        "phase-encoding -k 0.8 --nb 1 -E 0 -m 1e1:1e3:1/dec",
+        "bounds -k 0.8 --nb 1 -E 0 -m 1e1:1e3:1/dec"])
+    def test_zero_rates(self, argv, capsys):
+        assert cli.main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for name, value in _fields(captured.out):
+            if name in ("ratio", "relative_correction") or name.endswith("_asym"):
+                assert math.isnan(value), name  # 0/0, or out of regime
+            elif name not in ("kappa", "nb", "modes", "m"):
+                assert value == 0.0, name
+
+    @pytest.mark.parametrize("argv", ["fig2 -E 0", "fig2 -E 0 --m-max 3",
+                                      "fig3 -E 0", "fig3 -E 0 -m 10"])
+    def test_ratio_commands_exit_one(self, argv, tmp_path, capsys):
+        rc = cli.main(argv.split() + (["--out-dir", str(tmp_path)]
+                                      if argv.startswith("fig3") else []))
+        captured = capsys.readouterr()
+        TestBadPhotonNumbers._assert_one_error_line(rc, captured)
+        assert "0 at E = 0" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPreviouslyFailingPoints:
@@ -385,18 +447,29 @@ class TestFig3Command:
         # The sandwich closes at the top of the grid.
         assert (upper - rows[-1][2]) / upper < 0.005
 
-    def test_one_entropy_per_grid_point(self, tmp_path, monkeypatch):
-        calls = []
-        exact = cli.bounds_mod.entropy_total_exact
-
-        def counted(m, energy):
-            calls.append(m)
-            return exact(m, energy)
-
-        monkeypatch.setattr(cli.bounds_mod, "entropy_total_exact", counted)
-        assert cli.main(["fig3", "--out-dir", str(tmp_path),
-                         "--modes", "1e1:1e7:1/dec"]) == 0
-        assert sorted(calls) == cli.parse_mode_grid("1e1:1e7:1/dec")
+    @pytest.mark.parametrize("argv, grid", [
+        (["fig3", "--modes", "1e1:1e7:1/dec"], "1e1:1e7:1/dec"),
+        (["fig2", "--m-max", "5"], [1, 2, 3, 4, 5]),
+        (["bounds", "-k", "0.8", "-E", "1", "-m", "1e1:1e7:1/dec"], "1e1:1e7:1/dec"),
+        (["phase-encoding", "-k", "0.8", "-E", "0.001", "-m", "1e1:1e7:2/dec"],
+         "1e1:1e7:2/dec"),
+    ], ids=["fig3", "fig2", "bounds", "phase-encoding"])
+    def test_one_entropy_per_grid_point(self, argv, grid, tmp_path, monkeypatch,
+                                        capsys):
+        if isinstance(grid, str):
+            grid = cli.parse_mode_grid(grid)
+        calls = {"entropy_total_exact": [], "entropy_total_asym": []}
+        for name, seen in calls.items():
+            def counted(m, energy, entropy=getattr(cli.bounds_mod, name), seen=seen):
+                seen.append(m)
+                return entropy(m, energy)
+            monkeypatch.setattr(cli.bounds_mod, name, counted)
+        if argv[0] == "fig3":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        for seen in calls.values():
+            assert sorted(seen) == grid
 
     def test_malformed_grid_exits_one(self, tmp_path, capsys):
         rc = cli.main(["fig3", "--out-dir", str(tmp_path), "--modes", "oops"])

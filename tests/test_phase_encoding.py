@@ -1,5 +1,6 @@
 """Gaussian two-mode states, their Fock diagonals, and phase-encoding rates."""
 
+import json
 import math
 
 import mpmath as mp
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dephcap.bounds import ea_lower_bound, entropy_total_asym, entropy_total_exact
+from dephcap import cli
+from dephcap.bounds import entropy_total_asym, entropy_total_exact
 from dephcap.errors import SolverError
 from dephcap.phase_encoding import (
     _number_kernel_log,
     fock_diagonal,
     gaussian_conditional_entropy,
-    holevo_lb_with_dephasing,
-    holevo_lb_with_dephasing_asym,
     holevo_phase_encoding,
     symplectic_eigenvalues,
     tmsv_through_loss,
@@ -216,34 +216,48 @@ class TestHolevoPhaseEncoding:
         assert (ea - chi) / ea > 0.01
 
 
-class TestHolevoWithDephasing:
-    def test_shares_the_total_count_penalty(self):
-        ch = ThermalLossChannel(0.8, 10.0)
-        got = holevo_lb_with_dephasing(1e4, 0.001, ch, chi=0.5)
-        assert got == pytest.approx(
-            0.5 - entropy_total_exact(1e4, 0.001) / 1e4, rel=1e-13)
+def _cli_json(argv, capsys):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
-    def test_asym_variant(self):
-        ch = ThermalLossChannel(0.8, 10.0)
-        got = holevo_lb_with_dephasing_asym(1e6, 0.001, ch, chi=0.5)
-        assert got == pytest.approx(
-            0.5 - entropy_total_asym(1e6, 0.001) / 1e6, rel=1e-13)
-        assert math.isnan(holevo_lb_with_dephasing_asym(10, 0.001, ch))
+
+def _chi_rows(n_b, modes, capsys):
+    """chi at full precision, and ``phase-encoding -m``'s bounds per m."""
+    rep = _cli_json(["phase-encoding", "-k", "0.8", "--nb", str(n_b),
+                     "-E", "0.001", "-m", modes], capsys)
+    chi = holevo_phase_encoding(0.001, ThermalLossChannel(0.8, n_b))
+    return chi, rep["with_dephasing"]
+
+
+class TestHolevoWithDephasing:
+    def test_shares_the_total_count_penalty(self, capsys):
+        chi, (row,) = _chi_rows(10.0, "1e4", capsys)
+        assert row["chi_lb"] == pytest.approx(
+            chi - entropy_total_exact(1e4, 0.001) / 1e4, rel=1e-12)
+
+    def test_asym_variant(self, capsys):
+        chi, rows = _chi_rows(10.0, "1e1:1e6:5/dec", capsys)
+        assert rows[-1]["m"] == pytest.approx(1e6, rel=1e-12)
+        assert rows[-1]["chi_lb_asym"] == pytest.approx(
+            chi - entropy_total_asym(1e6, 0.001) / 1e6, rel=1e-12)
+        assert math.isnan(rows[0]["chi_lb_asym"])
 
     @pytest.mark.parametrize("n_b", [10.0, 0.01])
-    def test_never_exceeds_the_assisted_lower_bound(self, n_b):
-        ch = ThermalLossChannel(0.8, n_b)
-        chi = holevo_phase_encoding(0.001, ch)
-        for exp in range(1, 8):
-            m = 10.0**exp
-            assert holevo_lb_with_dephasing(m, 0.001, ch, chi=chi) <= (
-                ea_lower_bound(m, ch, 0.001) + 1e-9)
+    def test_never_exceeds_the_assisted_lower_bound(self, n_b, capsys):
+        _, rows = _chi_rows(n_b, "1e1:1e7:1/dec", capsys)
+        recs = _cli_json(["bounds", "-k", "0.8", "--nb", str(n_b), "-E", "0.001",
+                          "-m", "1e1:1e7:1/dec", "--format", "json"], capsys)
+        assert len(rows) == len(recs) == 7
+        for row, rec in zip(rows, recs):
+            assert row["m"] == rec["m"]
+            assert row["chi_lb"] <= rec["lower"] + 1e-9
 
-    def test_penalty_vanishes_at_huge_mode_counts(self):
-        ch = ThermalLossChannel(0.8, 10.0)
-        chi = holevo_phase_encoding(0.001, ch)
-        got = holevo_lb_with_dephasing(1e8, 0.001, ch, chi=chi)
-        assert got == pytest.approx(chi, abs=1e-3)
+    def test_penalty_vanishes_at_huge_mode_counts(self, capsys):
+        chi, (row,) = _chi_rows(10.0, "1e8", capsys)
+        assert row["chi_lb"] == pytest.approx(chi, abs=1e-3)
+
+    def test_nothing_is_encoded_at_zero_energy(self):
+        assert holevo_phase_encoding(0.0, ThermalLossChannel(0.8, 1.0)) == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
