@@ -147,12 +147,9 @@ def _idler_log_weights(energy, n_in):
     return k * (math.log(energy) - math.log1p(energy)) - math.log1p(energy)
 
 
-def _default_cutoffs(energy, e_prime):
-    # checked before rounding to int: 12 sigma overflows to inf at E = 1e300
-    cuts = [float(np.ceil(max(16.0, mean + 12.0 * math.sqrt(mean * (mean + 1.0)))))
-            for mean in (e_prime, energy)]
-    _check_kernel_budget(*cuts)
-    return tuple(int(c) for c in cuts)
+def _thermal_tail(mean, n):
+    """P(n' >= n) = q^n, q = mean/(mean+1), of the thermal law at ``mean``."""
+    return 0.0 if mean == 0.0 else math.exp(n * (math.log(mean) - math.log1p(mean)))
 
 
 def fock_diagonal(energy, ch):
@@ -160,34 +157,35 @@ def fock_diagonal(energy, ch):
 
     The TMSV's perfect number correlation survives loss as a classical
     coupling: p[j, k] = w_k T(j | k) with w the idler's thermal law at mean
-    ``energy`` and T the channel's photon-number kernel.  The omitted mass is
-    certified from the idler's geometric tail plus the kernel columns'
-    deficits.  The cutoffs start at mean + 12 sigma per mode (at least 16)
-    and the mode with the larger tail grows until the certification passes,
-    since heavy thermal tails can need more room than the 12-sigma rule
-    provides.  Only one pass's kernel is alive at a time, and the certified
-    one becomes ``probs`` in place.
+    ``energy`` and T the channel's photon-number kernel.  Both marginals are
+    thermal, the idler's at ``energy`` and the signal's at E' = kappa E + n_b,
+    so the mass outside the window is at most the sum of their geometric
+    tails q^N, with no kernel needed.  The cutoffs start at mean + 12 sigma
+    per mode (at least 16) and the mode with the larger tail grows until
+    that sum is below ``_TAIL_TOL``; the kernel budget is checked at every
+    candidate, so it bounds the search, which refuses oversized cutoffs
+    before allocating anything.  The kernel is built once, at the final
+    cutoffs, and becomes ``probs`` in place.
     """
     check_photons(energy)
-    cut_s, cut_i = _default_cutoffs(energy, ch.output_mean(energy))
-    for _ in range(64):
-        log_w = _idler_log_weights(energy, cut_i)
-        log_t = _number_kernel_log(ch.kappa, ch.n_b, cut_s, cut_i)
-        idler_tail = 0.0 if energy == 0.0 else math.exp(
-            cut_i * (math.log(energy) - math.log1p(energy)))
-        col_deficit = np.clip(1.0 - np.exp(log_t).sum(axis=0), 0.0, None)
-        signal_tail = float(np.exp(log_w) @ col_deficit)
-        tail = idler_tail + signal_tail + 1e-14
-        if tail <= _TAIL_TOL:
-            log_t += log_w[None, :]
-            return JointFockDiagonal(np.exp(log_t, out=log_t), tail)
+    e_prime = ch.output_mean(energy)
+    # floats until the budget passes: 12 sigma overflows to inf at E = 1e300
+    cut_s, cut_i = (float(np.ceil(max(16.0, mean + 12.0 * math.sqrt(mean * (mean + 1.0)))))
+                    for mean in (e_prime, energy))
+    while True:
+        _check_kernel_budget(cut_s, cut_i)
+        signal_tail = _thermal_tail(e_prime, cut_s)
+        idler_tail = _thermal_tail(energy, cut_i)
+        if signal_tail + idler_tail <= _TAIL_TOL:
+            break
         if signal_tail >= idler_tail:
             cut_s = math.ceil(cut_s * 1.4) + 8
         else:
             cut_i = math.ceil(cut_i * 1.4) + 8
-        del log_t  # freed before the next, larger kernel is built
-    raise SolverError(
-        f"tail certification still above {_TAIL_TOL:.1e} after 64 passes")
+    cut_s, cut_i = int(cut_s), int(cut_i)
+    log_t = _number_kernel_log(ch.kappa, ch.n_b, cut_s, cut_i)
+    log_t += _idler_log_weights(energy, cut_i)[None, :]
+    return JointFockDiagonal(np.exp(log_t, out=log_t), signal_tail + idler_tail)
 
 
 def holevo_phase_encoding(energy, ch):

@@ -7,11 +7,15 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import click
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dephcap import cli
 from dephcap.verification import CheckResult
@@ -290,8 +294,10 @@ class TestLargeEnergies:
         ("-k 0.8 --nb 1 -E 1000", "cutoffs (10419, 13006) needs 3.04e+09 bytes"),
         # 12 sigma overflows to inf, which cannot be rounded to an int
         ("-k 0.8 --nb 1 -E 1e300", "cutoffs (inf, inf) needs inf bytes"),
-        ("-k 0.5 --nb 1e300 -E 0.1", "cutoffs (inf, 16) needs inf bytes")],
-        ids=["E=1000", "E=1e300", "nb=1e300"])
+        ("-k 0.5 --nb 1e300 -E 0.1", "cutoffs (inf, 16) needs inf bytes"),
+        # the default cutoffs fit; the certificate's search grows past the budget
+        ("-k 0.8 --nb 1 -E 130", "cutoffs (2708, 3345) needs 2.04e+08 bytes")],
+        ids=["E=1000", "E=1e300", "nb=1e300", "E=130"])
     def test_phase_encoding_beyond_the_kernel_budget_exits_two(
             self, capsys, argv, message):
         tracemalloc.start()
@@ -521,6 +527,45 @@ class TestPhaseEncodingCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "m,chi_lb,chi_lb_asym"
         assert len(lines) == 4
+
+    @pytest.mark.xfail(strict=True, reason="g(E') - g(A+) cancels when E is far "
+                       "below ulp(n_b); ea needs the stable difference of g")
+    def test_assisted_capacity_at_a_tiny_energy_is_not_negative(self, capsys):
+        # prints "ea": -9.26e-298 and "relative_correction": NaN
+        rc = cli.main(["phase-encoding", "-k", "0.8", "--nb", "10", "-E", "1e-300"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["ea"] >= 0.0
+        assert math.isfinite(rep["relative_correction"])
+
+
+_EDGE_FLOATS = hst.one_of(
+    hst.sampled_from([0.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -1.0]),
+    hst.floats(1e-3, 10.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa=_EDGE_FLOATS, nb=_EDGE_FLOATS, energy=_EDGE_FLOATS)
+def test_phase_encoding_ends_in_a_documented_way(kappa, nb, energy):
+    out, err = StringIO(), StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(["phase-encoding", "-k", repr(kappa), "--nb", repr(nb),
+                           "-E", repr(energy)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert peak < 10_000_000
+    elif rc == 0:
+        rep = json.loads(out.getvalue())
+        assert math.isfinite(rep["chi"])
+        assert 0.0 <= rep["chi"] <= max(rep["ea"], 0.0) + 1e-12
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dephcap import cli
+from dephcap import cli, phase_encoding
 from dephcap.bounds import entropy_total_asym, entropy_total_exact
 from dephcap.errors import SolverError
 from dephcap.phase_encoding import (
@@ -118,6 +118,14 @@ class TestFockDiagonal:
         assert total <= 1.0 + 1e-10
         assert total + jd.tail_bound >= 1.0 - 1e-10
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kappa=hst.floats(0.05, 1.0), n_b=hst.floats(0.0, 10.0),
+           energy=hst.floats(1e-4, 10.0))
+    def test_tail_bound_covers_the_missing_mass(self, kappa, n_b, energy):
+        jd = fock_diagonal(energy, ThermalLossChannel(kappa, 0.0 if kappa == 1.0 else n_b))
+        assert 1.0 - jd.probs.sum() <= jd.tail_bound + 1e-12
+        assert jd.tail_bound <= 1e-9
+
     def test_entropy_matches_flat_shannon(self):
         jd = fock_diagonal(0.1, ThermalLossChannel(0.7, 0.5))
         nz = jd.probs[jd.probs > 0.0]
@@ -177,15 +185,31 @@ class TestHolevoPhaseEncoding:
         assert holevo_phase_encoding(10.0, ch) == pytest.approx(
             0.7296053793010913, rel=1e-12)
 
-    @pytest.mark.parametrize("n_b, recorded", [
-        (10.0, 0.0007354055832298201), (1.0, 0.004334679056546609),
-        (0.1, 0.008438429446100792), (0.01, 0.00927814101094658)])
-    def test_recorded_rates_of_fig3(self, n_b, recorded):
+    @pytest.mark.parametrize("n_b, recorded, cutoffs", [
+        (10.0, 0.0007354055832298201, (287, 16)),
+        (1.0, 0.004334679056546609, (34, 16)),
+        (0.1, 0.008438429446100792, (16, 16)),
+        (0.01, 0.00927814101094658, (16, 16))])
+    def test_recorded_rates_of_fig3(self, n_b, recorded, cutoffs):
         # recorded when the channel parameters were recovered from the
         # covariance matrix, which returned n_b = 0.010000000000000031 for
-        # 0.01; taking them exactly moves that rate by 8 ulps (1.5e-15)
-        got = holevo_phase_encoding(0.001, ThermalLossChannel(0.8, n_b))
+        # 0.01; taking them exactly moves that rate by 8 ulps (1.5e-15).
+        # The cutoffs are those the kernel column sums once certified.
+        ch = ThermalLossChannel(0.8, n_b)
+        assert fock_diagonal(0.001, ch).cutoffs == cutoffs
+        got = holevo_phase_encoding(0.001, ch)
         assert got == pytest.approx(recorded, rel=2e-15, abs=0.0)
+
+    def test_kernel_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return _number_kernel_log(*args)
+
+        monkeypatch.setattr(phase_encoding, "_number_kernel_log", counted)
+        fock_diagonal(10.0, ThermalLossChannel(0.8, 10.0))
+        assert calls == [(490, 287)]
 
     def test_zero_energy(self):
         assert holevo_phase_encoding(0.0, ThermalLossChannel(0.5, 0.0)) == 0.0
