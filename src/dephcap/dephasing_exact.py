@@ -11,21 +11,19 @@ sum_n n P(n) = m E, and with each n-photon shell populated uniformly.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolation, SolverError
 from .photon_dist import PhotonDistribution, build_from_ratios, point_mass
-from .special_math import (LN2, check_block, log_binomial, squared_binomial_law,
-                           thermal_entropy_g)
+from .special_math import LN2, check_block, squared_binomial_law, thermal_entropy_g
 
 # perfbench/spans.py traces these two layers under their former names
 _squared_series_logs = squared_binomial_law
 build_from_log_pmf = build_from_ratios
 
 _MEAN_RTOL = 1e-10
+_MAX_ITER = 100
 
 
-def solve_lambda(m, energy, max_iter=100):
+def solve_lambda(m, energy):
     """Weight parameter lambda of the optimal total-photon-number law.
 
     The mean of the law P(n) ~ C(n+m-1, m-1)^2 lambda^n is strictly
@@ -48,7 +46,7 @@ def solve_lambda(m, energy, max_iter=100):
     # (E/(E+1))^2, the second the E -> 0 limit, where the mean is m^2 lambda
     q = energy / (energy + 1.0)
     lam = min(max(q ** (2.0 - 1.0 / m), q / m), hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         _, mean, var = _squared_series_logs(m, lam)
         miss = mean - target
         # the mean is within 1e-15 relative, or the Newton step in ln lambda
@@ -71,7 +69,7 @@ def solve_lambda(m, energy, max_iter=100):
         lam = step
     else:
         raise SolverError(
-            f"lambda solve did not converge within {max_iter} iterations "
+            f"lambda solve did not converge within {_MAX_ITER} iterations "
             f"(m={m}, E={energy})")
     if abs(miss) > _MEAN_RTOL * target:
         raise SolverError(
@@ -80,15 +78,14 @@ def solve_lambda(m, energy, max_iter=100):
     return lam
 
 
-def optimal_total_distribution(m, energy, lam=None):
+def optimal_total_distribution(m, lam):
     """Capacity-achieving distribution of the total photon number over a block.
 
-    Built from the exact term ratio ((n+m)/(n+1))^2 lambda over a window
-    certified to omit less than 1e-12 of the mass (and below 1e-11 bits of
-    entropy) on both sides; see photon_dist.build_from_ratios.
+    ``lam`` is the weight parameter from solve_lambda.  Built from the exact
+    term ratio ((n+m)/(n+1))^2 lambda over a window certified to omit less
+    than 1e-12 of the mass (and below 1e-11 bits of entropy) on both sides;
+    see photon_dist.build_from_ratios.
     """
-    if lam is None:
-        lam = solve_lambda(m, energy)
     if lam == 0.0:
         return point_mass()
     m = int(m)
@@ -133,7 +130,7 @@ def solve_dephasing(m, energy):
         return DephasingSolution(m, 0.0, 0.0, point_mass(), 0.0, 0.0)
 
     lam = solve_lambda(m, energy)
-    dist = optimal_total_distribution(m, energy, lam=lam)
+    dist = optimal_total_distribution(m, lam)
     capacity = (_squared_series_logs(m, lam)[0] - m * energy * math.log(lam)) / LN2
     mean = dist.mean()
 
@@ -147,54 +144,3 @@ def solve_dephasing(m, energy):
             f"[{base}, {2.0 * base}] for m={m}, E={energy}")
     return DephasingSolution(m, energy, lam, dist, capacity, mean)
 
-
-def ea_capacity_pure_dephasing(m, energy):
-    """Assisted capacity in bits per m-mode block (see solve_dephasing)."""
-    return solve_dephasing(m, energy).capacity
-
-
-def hsw_capacity_pure_dephasing(m, energy):
-    """Unassisted capacity per mode: g(E) bits, untouched by the dephasing.
-
-    Coherent states with a photon-number-resolving receiver already achieve
-    the g(E) benchmark and are insensitive to a common phase, so the channel
-    costs nothing without assistance.
-    """
-    _, energy = check_block(m, energy)
-    return thermal_entropy_g(energy)
-
-
-def optimal_joint_weight(m, lam, occupations):
-    """Probability of one m-mode occupation pattern under the optimal input.
-
-    Within each shell of total photon number n the optimal law is uniform, so
-    the pattern weight is C(n+m-1, m-1) lambda^n / normalization.
-    """
-    occ = np.asarray(occupations)
-    if occ.shape != (int(m),):
-        raise ValueError(f"expected {m} occupation numbers, got shape {occ.shape}")
-    if np.any(occ != np.floor(occ)) or np.any(occ < 0):
-        raise ValueError("occupation numbers must be nonnegative integers")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    total = int(occ.sum())
-    if lam == 0.0:
-        return 1.0 if total == 0 else 0.0
-    log_norm = _squared_series_logs(int(m), lam)[0]
-    return math.exp(log_binomial(total + m - 1, m - 1)
-                    + total * math.log(lam) - log_norm)
-
-
-def marginal_m2(n1, lam):
-    """Single-mode marginal of the optimal two-mode input.
-
-    Closed form (1-lambda)/(1+lambda) * lambda^n1 * [(1-lambda) n1 + 1]; the
-    linear-in-n1 prefactor is what makes the marginal non-geometric, i.e. the
-    optimal input is not a product of thermal states for m >= 2.
-    """
-    if not float(n1).is_integer() or n1 < 0:
-        raise ValueError(f"photon number must be a nonnegative integer, got {n1}")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    n1 = int(n1)
-    return ((1.0 - lam) / (1.0 + lam)) * lam ** n1 * ((1.0 - lam) * n1 + 1.0)

@@ -40,10 +40,6 @@ class FockOperator:
                 f"data shape {data.shape} does not match dims {self.dims}")
         self.data = data
 
-    @property
-    def dim(self):
-        return self.data.shape[0]
-
     def trace(self):
         return complex(np.trace(self.data))
 
@@ -57,18 +53,9 @@ def mode_occupations(dims):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def total_numbers(dims, modes=None):
-    """Total photon number of each basis state, over ``modes`` (default: all)."""
-    occ = mode_occupations(dims)
-    if modes is None:
-        modes = range(len(dims))
-    modes = list(modes)
-    if len(set(modes)) != len(modes) or any(
-            not 0 <= m < len(dims) for m in modes):
-        raise ValueError(f"invalid mode subset {modes} for {len(dims)} modes")
-    if not modes:
-        return np.zeros(int(np.prod(dims)), dtype=int)
-    return occ[:, modes].sum(axis=1)
+def total_numbers(dims):
+    """Total photon number of each basis state."""
+    return mode_occupations(dims).sum(axis=1)
 
 
 def pure_state(vector, dims):
@@ -94,10 +81,6 @@ def thermal_probs(mean, dim):
     return np.exp(n * (math.log(mean) - math.log1p(mean)) - math.log1p(mean))
 
 
-def thermal_state(mean, dim):
-    return FockOperator((dim,), np.diag(thermal_probs(mean, dim)).astype(complex))
-
-
 def tmsv_vector(energy, cutoff):
     """Two-mode squeezed vacuum amplitudes sqrt(E^n / (E+1)^(n+1)) on |n, n>."""
     amps = np.sqrt(thermal_probs(energy, cutoff))
@@ -112,20 +95,20 @@ def tmsv_state(energy, cutoff):
 
 def apply_phase_shift(state, mode, theta):
     """Rotate one mode: |n> -> exp(i theta n) |n>."""
-    tot = total_numbers(state.dims, [mode])
-    phase = np.exp(1j * theta * tot)
+    if not 0 <= mode < len(state.dims):
+        raise ValueError(f"mode {mode} out of range for dims {state.dims}")
+    phase = np.exp(1j * theta * mode_occupations(state.dims)[:, mode])
     return FockOperator(state.dims, phase[:, None] * state.data * phase.conj()[None, :])
 
 
-def apply_dephasing(state, modes=None):
-    """Average over a common random phase on ``modes`` (default: all).
+def apply_dephasing(state):
+    """Average over a common random phase on all modes.
 
-    Equivalent to projecting onto the blocks of fixed total photon number over
-    the selected modes, so coherences between different totals are zeroed and
-    the operation is exactly trace preserving and idempotent.  An empty mode
-    subset is the identity.
+    Equivalent to projecting onto the blocks of fixed total photon number, so
+    coherences between different totals are zeroed and the operation is
+    exactly trace preserving and idempotent.
     """
-    tot = total_numbers(state.dims, modes)
+    tot = total_numbers(state.dims)
     mask = tot[:, None] == tot[None, :]
     return FockOperator(state.dims, np.where(mask, state.data, 0.0))
 
@@ -214,6 +197,12 @@ def apply_thermal_loss(state, mode, ch):
     return FockOperator(state.dims, out.reshape(state.data.shape))
 
 
+def _entropy_bits(w):
+    """-sum w log2 w over the positive entries of ``w``, in bits."""
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log2(w)))
+
+
 def von_neumann_entropy(state):
     """Eigenvalue-based entropy in bits; input must be Hermitian and near-PSD.
 
@@ -227,8 +216,7 @@ def von_neumann_entropy(state):
     w = np.linalg.eigvalsh(0.5 * (data + data.conj().T))
     if w.min() < -_EIG_CLIP:
         raise ValueError(f"eigenvalue {w.min()} too negative for a state")
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
+    return _entropy_bits(w)
 
 
 def schmidt_dephased_mutual_information(pattern_probs, pattern_totals):
@@ -252,17 +240,9 @@ def schmidt_dephased_mutual_information(pattern_probs, pattern_totals):
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"pattern probabilities sum to {p.sum()}")
 
-    joint_eigs = []
-    for total in np.unique(t):
-        amps = np.sqrt(p[t == total])
-        block = np.outer(amps, amps)
-        joint_eigs.append(np.linalg.eigvalsh(block))
-    w = np.concatenate(joint_eigs)
-    w = w[w > 0.0]
-    s_joint = float(-np.sum(w * np.log2(w)))
-    nz = p[p > 0.0]
-    s_marginal = float(-np.sum(nz * np.log2(nz)))
-    return 2.0 * s_marginal - s_joint
+    blocks = (np.sqrt(p[t == total]) for total in np.unique(t))
+    joint = np.concatenate([np.linalg.eigvalsh(np.outer(a, a)) for a in blocks])
+    return 2.0 * _entropy_bits(p) - _entropy_bits(joint)
 
 
 def _ladder_factors(d):

@@ -55,20 +55,23 @@ def log_binomial(n, k):
     return float(np.log((n - k + i) / i).sum())
 
 
-def shannon_entropy(p, mass_tol=1e-9):
+_MASS_TOL = 1e-9
+
+
+def shannon_entropy(p):
     """Shannon entropy in bits of a probability vector.
 
     ``p`` may be an array of probabilities or any object with ``probs`` and
     ``tail_bound`` attributes (see PhotonDistribution); in the latter case the
     certified tail is allowed to account for missing mass.  Entries must be
-    nonnegative and the total mass must sit within ``mass_tol`` of 1.
+    nonnegative and the total mass must sit within ``_MASS_TOL`` (1e-9) of 1.
     """
     tail = getattr(p, "tail_bound", 0.0)
     probs = np.asarray(getattr(p, "probs", p), dtype=float)
     if probs.size and probs.min() < 0.0:
         raise ValueError("negative probability entry")
     total = float(probs.sum())
-    if total > 1.0 + mass_tol or total + tail < 1.0 - mass_tol:
+    if total > 1.0 + _MASS_TOL or total + tail < 1.0 - _MASS_TOL:
         raise ValueError(f"probability mass {total} (tail bound {tail}) is not 1")
     nz = probs[probs > 0.0]
     return float(-np.sum(nz * np.log2(nz)))

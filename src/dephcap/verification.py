@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, dephasing_exact, fock_oracle, phase_encoding
-from .special_math import thermal_entropy_g
+from .special_math import log_binomial, squared_binomial_law, thermal_entropy_g
 from .thermal_loss import ThermalLossChannel, _intermediates
 
 
@@ -54,9 +54,21 @@ def _skipped(name, note):
 def check_single_mode_thermal_identity():
     """For one mode the dephasing costs nothing: assisted capacity is g(E)."""
     worst = max(
-        abs(dephasing_exact.ea_capacity_pure_dephasing(1, e) - thermal_entropy_g(e))
+        abs(dephasing_exact.solve_dephasing(1, e).capacity - thermal_entropy_g(e))
         for e in (0.1, 1.0, 10.0))
     return CheckResult("single-mode capacity equals g(E)", worst, 0.0, 1e-10)
+
+
+def _optimal_joint_weight(m, lam, occupations):
+    """Probability of one m-mode occupation pattern under the optimal input.
+
+    Within each shell of total photon number n the optimal law is uniform, so
+    the pattern weight is C(n+m-1, m-1) lambda^n / normalization (lambda > 0).
+    """
+    total = int(sum(occupations))
+    log_norm = squared_binomial_law(m, lam)[0]
+    return math.exp(log_binomial(total + m - 1, m - 1)
+                    + total * math.log(lam) - log_norm)
 
 
 def check_two_mode_optimal_input_mi():
@@ -70,9 +82,7 @@ def check_two_mode_optimal_input_mi():
     sol = dephasing_exact.solve_dephasing(m, energy)
     patterns = [(n1, n2) for n1 in range(total_cut + 1)
                 for n2 in range(total_cut + 1 - n1)]
-    probs = np.array([
-        dephasing_exact.optimal_joint_weight(m, sol.lambda1, pat)
-        for pat in patterns])
+    probs = np.array([_optimal_joint_weight(m, sol.lambda1, pat) for pat in patterns])
     probs /= probs.sum()  # mass beyond the enumeration cutoff is ~4e-9
     totals = np.array([sum(pat) for pat in patterns])
     mi = fock_oracle.schmidt_dephased_mutual_information(probs, totals)

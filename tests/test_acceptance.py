@@ -12,10 +12,7 @@ import pytest
 
 from dephcap import cli, verification
 from dephcap.bounds import thermal_total_photon_dist
-from dephcap.dephasing_exact import (
-    ea_capacity_pure_dephasing,
-    optimal_total_distribution,
-)
+from dephcap.dephasing_exact import solve_dephasing
 from dephcap.phase_encoding import fock_diagonal, holevo_phase_encoding
 from dephcap.special_math import thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
@@ -47,7 +44,7 @@ def fig2_table(tmp_path_factory):
 
 def test_criterion_1_single_mode_identity():
     worst = max(
-        abs(ea_capacity_pure_dephasing(1, e) - thermal_entropy_g(e))
+        abs(solve_dephasing(1, e).capacity - thermal_entropy_g(e))
         for e in (0.1, 1.0, 10.0))
     _verdict(1, worst <= 1e-10,
              f"single-mode assisted capacity equals g(E), worst |diff|={worst:.2e}")
@@ -155,7 +152,7 @@ def test_criterion_8_structural_invariants(crosschecks):
     dists = [
         thermal_total_photon_dist(1e5, 0.001),
         thermal_total_photon_dist(1e7, 0.001),
-        optimal_total_distribution(3, 1.0),
+        solve_dephasing(3, 1.0).dist,
     ]
     mass_ok = all(
         d.probs.sum() <= 1.0 + 1e-10

@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 
 from dephcap.dephasing_exact import (
     DephasingSolution,
-    ea_capacity_pure_dephasing,
-    hsw_capacity_pure_dephasing,
-    marginal_m2,
-    optimal_joint_weight,
     optimal_total_distribution,
     solve_dephasing,
     solve_lambda,
 )
 from dephcap.special_math import squared_binomial_law, thermal_entropy_g
+from dephcap.verification import _optimal_joint_weight
 
 CAPACITY_M2_E1 = 5.322462129777240821346  # bits over the two-mode block
 LAMBDA_M2_E1 = (math.sqrt(3.0) - 1.0) / 2.0
@@ -39,7 +36,7 @@ class TestSolveLambda:
 
     @pytest.mark.parametrize("m, energy", [(1, 0.3), (2, 1.0), (5, 0.1), (20, 1.0)])
     def test_solved_weight_reproduces_the_mean(self, m, energy):
-        dist = optimal_total_distribution(m, energy)
+        dist = optimal_total_distribution(m, solve_lambda(m, energy))
         assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
 
     @pytest.mark.parametrize("m", [0, -2, 1.5])
@@ -56,7 +53,7 @@ class TestOptimalTotalDistribution:
     def test_single_mode_is_geometric(self):
         # The solved lambda carries the 1e-14 bisection tolerance, which the
         # power law amplifies by n; compare at a matching tolerance.
-        dist = optimal_total_distribution(1, 1.0)
+        dist = optimal_total_distribution(1, solve_lambda(1, 1.0))
         n = np.arange(40)
         np.testing.assert_allclose(dist.probs[:40], 0.5 ** (n + 1), rtol=1e-11)
 
@@ -66,14 +63,14 @@ class TestOptimalTotalDistribution:
         assert dist.tail_bound == 0.0
 
     def test_tail_certification(self):
-        dist = optimal_total_distribution(2, 1.0)
+        dist = optimal_total_distribution(2, solve_lambda(2, 1.0))
         assert dist.tail_bound <= 1e-12
         assert dist.probs.sum() <= 1.0 + 1e-12
         assert dist.probs.sum() + dist.tail_bound >= 1.0 - 1e-12
 
     def test_entries_match_the_analytic_law(self):
         lam = solve_lambda(2, 1.0)
-        dist = optimal_total_distribution(2, 1.0, lam=lam)
+        dist = optimal_total_distribution(2, lam)
         log_norm = squared_binomial_law(2, lam)[0]
         n = np.arange(30)
         want = np.exp(2.0 * np.log(n + 1.0) + n * math.log(lam) - log_norm)
@@ -114,10 +111,6 @@ class TestSolveDephasing:
         assert sol.capacity_per_mode == pytest.approx(sol.capacity / 3.0, rel=1e-15)
         assert sol.dist.mean() == pytest.approx(1.5, rel=1e-9)
 
-    def test_wrapper_agrees_with_solver(self):
-        assert ea_capacity_pure_dephasing(2, 0.7) == pytest.approx(
-            solve_dephasing(2, 0.7).capacity, rel=1e-14)
-
     def test_zero_energy_yields_the_silent_solution(self):
         sol = solve_dephasing(2, 0.0)
         assert sol.capacity == 0.0
@@ -142,36 +135,39 @@ def test_every_point_solves_inside_its_sandwich(m, log_energy):
     assert sol.dist.probs.size <= 100.0 * (sd + 1.0)
 
 
-class TestUnassistedDephasing:
-    @pytest.mark.parametrize("energy", [0.0, 0.001, 1.0])
-    def test_equals_per_mode_thermal_entropy(self, energy):
-        assert hsw_capacity_pure_dephasing(5, energy) == pytest.approx(
-            thermal_entropy_g(energy), rel=1e-14, abs=1e-300)
-
-
 class TestOptimalJointWeight:
     def test_vacuum_pattern_is_the_inverse_normalizer(self):
         # F = 2F1(2,2,1,1/2) = 12 exactly, so the vacuum weight is 1/12.
-        got = optimal_joint_weight(2, 0.5, (0, 0))
+        got = _optimal_joint_weight(2, 0.5, (0, 0))
         assert got == pytest.approx(1.0 / 12.0, rel=1e-13)
 
     def test_one_photon_per_mode_pattern(self):
         # C(3,1) * 0.5^2 / 12 = 1/16.
-        got = optimal_joint_weight(2, 0.5, (1, 1))
+        got = _optimal_joint_weight(2, 0.5, (1, 1))
         assert got == pytest.approx(0.0625, rel=1e-13)
 
     def test_weight_depends_only_on_the_total(self):
-        a = optimal_joint_weight(3, 0.4, (2, 1, 0))
-        b = optimal_joint_weight(3, 0.4, (3, 0, 0))
-        c = optimal_joint_weight(3, 0.4, (1, 1, 1))
+        a = _optimal_joint_weight(3, 0.4, (2, 1, 0))
+        b = _optimal_joint_weight(3, 0.4, (3, 0, 0))
+        c = _optimal_joint_weight(3, 0.4, (1, 1, 1))
         assert a == b == c
 
     @pytest.mark.parametrize("k", range(0, 21, 4))
     def test_shell_sum_reproduces_the_total_law(self, k):
         lam = solve_lambda(3, 0.7)
-        dist = optimal_total_distribution(3, 0.7, lam=lam)
-        shell = math.comb(k + 2, 2) * optimal_joint_weight(3, lam, (k, 0, 0))
+        dist = optimal_total_distribution(3, lam)
+        shell = math.comb(k + 2, 2) * _optimal_joint_weight(3, lam, (k, 0, 0))
         assert shell == pytest.approx(dist.probs[k], rel=1e-12)
+
+
+def marginal_m2(n1, lam):
+    """Single-mode marginal of the optimal two-mode input.
+
+    Closed form (1-lambda)/(1+lambda) * lambda^n1 * [(1-lambda) n1 + 1]; the
+    linear-in-n1 prefactor is what makes the marginal non-geometric, i.e. the
+    optimal input is not a product of thermal states for m >= 2.
+    """
+    return ((1.0 - lam) / (1.0 + lam)) * lam ** n1 * ((1.0 - lam) * n1 + 1.0)
 
 
 class TestMarginalM2:
@@ -189,7 +185,7 @@ class TestMarginalM2:
     @pytest.mark.parametrize("n1", [0, 1, 5])
     def test_matches_summed_joint_weights(self, n1):
         lam = 0.37
-        want = sum(optimal_joint_weight(2, lam, (n1, n2)) for n2 in range(200))
+        want = sum(_optimal_joint_weight(2, lam, (n1, n2)) for n2 in range(200))
         assert marginal_m2(n1, lam) == pytest.approx(want, rel=1e-12)
 
     def test_normalized(self):

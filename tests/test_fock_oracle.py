@@ -9,13 +9,10 @@ from scipy.linalg import expm
 
 from dephcap import fock_oracle as fo
 from dephcap.bounds import thermal_total_photon_dist
-from dephcap.dephasing_exact import (
-    ea_capacity_pure_dephasing,
-    optimal_joint_weight,
-    solve_lambda,
-)
+from dephcap.dephasing_exact import solve_dephasing
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel
+from dephcap.verification import _optimal_joint_weight
 
 
 def _random_state(dims, seed):
@@ -47,6 +44,10 @@ def _dilation_reference(rho, dims, mode, ch, cut):
     return out.reshape(rho.shape)
 
 
+def _thermal_state(mean, dim):
+    return fo.FockOperator((dim,), np.diag(fo.thermal_probs(mean, dim)))
+
+
 def _plus_state(dim=3):
     vec = np.zeros(dim)
     vec[0] = vec[1] = 1.0 / math.sqrt(2.0)
@@ -66,17 +67,8 @@ class TestDephasing:
         out = fo.apply_dephasing(st)
         assert np.array_equal(out.data, st.data)
 
-    def test_partial_dephasing_of_one_mode(self):
-        vec = np.zeros(4)
-        vec[1] = vec[2] = 1.0 / math.sqrt(2.0)
-        st = fo.pure_state(vec, (2, 2))
-        out = fo.apply_dephasing(st, modes=[0])
-        want = np.zeros((4, 4), dtype=complex)
-        want[1, 1] = want[2, 2] = 0.5
-        np.testing.assert_allclose(out.data, want, atol=1e-15)
-
     def test_diagonal_states_are_fixed_points(self):
-        st = fo.thermal_state(0.7, 12)
+        st = _thermal_state(0.7, 12)
         out = fo.apply_dephasing(st)
         assert np.array_equal(out.data, st.data)
 
@@ -94,6 +86,11 @@ class TestDephasing:
         st = _plus_state(4)
         avg = sum(fo.apply_phase_shift(st, 0, t).data for t in phases) / 128.0
         np.testing.assert_allclose(avg, fo.apply_dephasing(st).data, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [-1, 1])
+    def test_phase_shift_rejects_a_mode_out_of_range(self, mode):
+        with pytest.raises(ValueError):
+            fo.apply_phase_shift(_plus_state(), mode, 0.1)
 
 
 class TestComplementaryOutput:
@@ -135,12 +132,12 @@ class TestThermalLossOracle:
         assert np.abs(diag[2:]).max() <= 1e-12
 
     def test_lossless_channel_is_the_identity(self):
-        st = fo.thermal_state(0.4, 8)
+        st = _thermal_state(0.4, 8)
         out = fo.apply_thermal_loss(st, 0, ThermalLossChannel(1.0))
         np.testing.assert_allclose(out.data, st.data, atol=1e-13)
 
     def test_trace_preserved_and_mean_evolves(self):
-        st = fo.thermal_state(0.3, 40)
+        st = _thermal_state(0.3, 40)
         out = fo.apply_thermal_loss(st, 0, ThermalLossChannel(0.8, 0.5))
         diag = np.real(np.diag(out.data))
         assert diag.sum() == pytest.approx(1.0, abs=1e-9)
@@ -180,13 +177,12 @@ class TestSchmidtDephasedMutualInformation:
         assert got == pytest.approx(shannon_entropy(probs), rel=1e-12)
 
     def test_flagship_two_mode_input_attains_the_capacity(self):
-        lam = solve_lambda(2, 0.3)
+        sol = solve_dephasing(2, 0.3)
         patterns = [(a, t - a) for t in range(31) for a in range(t + 1)]
-        probs = np.array([optimal_joint_weight(2, lam, p) for p in patterns])
+        probs = np.array([_optimal_joint_weight(2, sol.lambda1, p) for p in patterns])
         totals = [sum(p) for p in patterns]
         got = fo.schmidt_dephased_mutual_information(probs, totals)
-        assert got == pytest.approx(
-            ea_capacity_pure_dephasing(2, 0.3), abs=1e-5)
+        assert got == pytest.approx(sol.capacity, abs=1e-5)
 
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(ValueError):
