@@ -66,6 +66,9 @@ def _parallel_map(func, items):
 
 # Most points one sweep evaluates, counted before any list is built
 MAX_SWEEP_POINTS = 100_000
+# Most modes of one pure-dephasing block: the solve holds a few floats per
+# mode, and a certified law's window stops at the same 1e7 terms
+MAX_MODES = 10_000_000
 
 
 def parse_mode_grid(spec):
@@ -117,6 +120,8 @@ def _single_integer_modes(spec):
     if len(values) != 1:
         raise click.UsageError("this command takes a single mode count, not a grid")
     m = values[0]
+    if m > MAX_MODES:
+        raise click.UsageError(f"mode count {spec!r} exceeds the limit of {MAX_MODES} modes")
     if abs(m - round(m)) > 1e-9:
         raise click.UsageError(f"mode count must be an integer, got {m}")
     return int(round(m))

@@ -125,24 +125,29 @@ def complementary_dephasing(dims, diag):
     return PhotonDistribution(probs, max(0.0, 1.0 - float(probs.sum())))
 
 
-def beamsplitter_blocks(theta, n_max):
-    """Unitaries of exp[theta (a+ e - a e+)] on each total-photon block.
+def beamsplitter_corners(kappa, d, n_total):
+    """amp[N, j, n] = <j, N-j| U |n, N-n> of U = exp[theta (a+ e - a e+)],
+    cos(theta) = sqrt(kappa), for N < n_total and j, n < d (zero above N).
 
-    Block N acts on span{|n>|N-n>, n = 0..N} and is built by exponentiating
-    the tridiagonal generator, which keeps every block exactly unitary; the
-    full beamsplitter is their direct sum since total photon number is
-    conserved.  Yields the blocks for N = 0..n_max one at a time, so only
-    one is alive.
+    Block N follows from block N - 1 (Risbo's Wigner-d recursion): N |n, N-n>
+    = sqrt(n) a+ |n-1, N-n> + sqrt(N-n) e+ |n, N-n-1>, and U turns a+ into
+    c a+ - s e+ and e+ into s a+ + c e+.  Each step reads only the d x d corner.
     """
-    from scipy.linalg import expm  # only the dilation needs scipy
-
-    for total in range(n_max + 1):
-        n = np.arange(total)
-        gen = np.zeros((total + 1, total + 1))
-        up = np.sqrt((n + 1.0) * (total - n))   # <n+1, N-n-1| a+ e |n, N-n>
-        gen[n + 1, n] = up
-        gen[n, n + 1] = -up
-        yield expm(theta * gen)
+    c, s = math.sqrt(kappa), math.sqrt(1.0 - kappa)
+    levels = np.arange(d)
+    root = np.sqrt(levels)
+    amp = np.zeros((n_total, d, d))
+    amp[0, 0, 0] = 1.0
+    for total in range(1, n_total):
+        rest = np.sqrt(np.maximum(total - levels, 0))
+        up = np.zeros((d, d))          # sqrt(j) <j-1, N-j| U |m, N-1-m>
+        up[1:] = root[1:, None] * amp[total - 1, :-1]
+        down = rest[:, None] * amp[total - 1]   # sqrt(N-j) <j, N-1-j| U |m, N-1-m>
+        x, y = c * up - s * down, s * up + c * down
+        y *= rest
+        y[:, 1:] += x[:, :-1] * root[1:]
+        amp[total] = y / total
+    return amp
 
 
 def apply_thermal_loss(state, mode, ch):
@@ -170,12 +175,7 @@ def apply_thermal_loss(state, mode, ch):
         math.log(1e-10) / math.log(env_mean / (env_mean + 1.0))))
     tau = thermal_probs(env_mean, n_env)
     d = state.dims[mode]
-    # amp[N, j, n] = <j, N-j| U |n, N-n> for j, n < d, zero where j or n > N
-    amp = np.zeros((d + n_env - 1, d, d))
-    for total, block in enumerate(
-            beamsplitter_blocks(math.acos(math.sqrt(ch.kappa)), d + n_env - 2)):
-        w = min(total + 1, d)
-        amp[total, :w, :w] = block[:w, :w]
+    amp = beamsplitter_corners(ch.kappa, d, d + n_env - 1)
 
     n_modes = len(state.dims)
     work = state.data.reshape(state.dims + state.dims)

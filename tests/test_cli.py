@@ -49,6 +49,9 @@ class TestModeGrid:
         with pytest.raises(click.UsageError):
             cli.parse_mode_grid(spec)
 
+    def test_largest_block_accepted(self):
+        assert cli._single_integer_modes("1e7") == cli.MAX_MODES
+
     def test_longest_sweep_accepted(self):
         grid = cli.parse_mode_grid("1:10:99999/dec")
         assert len(grid) == cli.MAX_SWEEP_POINTS
@@ -63,6 +66,10 @@ class TestModeGrid:
         ("bounds -k 0.8 -E 1 -m 1:1e300:100000000/dec",
          "exceeds the limit of 100000 points per sweep"),
         ("fig2 --m-max 1000000000", "exceeds the limit of 100000 points per sweep"),
+        ("capacity --pure-dephasing -m 10000001 -E 1",
+         "exceeds the limit of 10000000 modes"),
+        ("capacity --pure-dephasing -m 1e8 -E 1", "exceeds the limit of 10000000 modes"),
+        ("capacity --pure-dephasing -m 1e300 -E 1", "exceeds the limit of 10000000 modes"),
     ])
     def test_unbounded_sweeps_exit_one_before_allocating(self, argv, message,
                                                          tmp_path, capsys):
@@ -656,13 +663,19 @@ class TestEntryPoint:
         assert "capacity" in capsys.readouterr().out
 
     def test_import_leaves_scipy_unloaded(self):
-        # only verify's beamsplitter dilation imports scipy, when it runs
-        code = ("import sys, dephcap.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # scipy is a test dependency only: importing the CLI does not load
+        # it, and neither does verify, whose dilation is plain numpy
+        code = "\n".join([
+            "import contextlib, io, sys, dephcap.cli",
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "print(loaded())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    rc = dephcap.cli.main(['verify'])",
+            "print(rc, loaded())"])
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, check=True)
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n0 []\n"
 
     def test_console_script_is_installed(self):
         script = shutil.which("dephcap")

@@ -3,13 +3,17 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import expm
 
 from dephcap import fock_oracle as fo
 from dephcap.bounds import thermal_total_photon_dist
 from dephcap.dephasing_exact import solve_dephasing
+from dephcap.phase_encoding import fock_diagonal
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel
 from dephcap.verification import _optimal_joint_weight
@@ -42,6 +46,30 @@ def _dilation_reference(rho, dims, mode, ch, cut):
     out = np.einsum("jenk,k,nopq,repk->jorq", u_in, tau, work, u_in)
     out = np.moveaxis(out[:d, :, :d, :], (0, 2), (mode, 2 + mode))
     return out.reshape(rho.shape)
+
+
+def _corner_entry_mp(kappa, total, j, n):
+    """<j, N-j| U |n, N-n> at 50 digits, from U a+ U+ = c a+ - s e+ and
+    U e+ U+ = s a+ + c e+ applied to a+^n e+^(N-n) |0, 0>."""
+    with mp.workdps(50):
+        c, s = mp.sqrt(mp.mpf(kappa)), mp.sqrt(1 - mp.mpf(kappa))
+        norm = mp.sqrt(mp.factorial(j) * mp.factorial(total - j)
+                       / (mp.factorial(n) * mp.factorial(total - n)))
+        return norm * mp.fsum(
+            mp.binomial(n, p) * mp.binomial(total - n, j - p)
+            * c**p * (-s) ** (n - p) * s ** (j - p) * c ** (total - n - j + p)
+            for p in range(max(0, j - total + n), min(n, j) + 1))
+
+
+def _assert_full_width_orthogonal(kappa, n_max, atol):
+    # with d > N the corner holds all of block N: its rows j <= N are
+    # orthonormal and the rest are zero
+    d = n_max + 2
+    amp = fo.beamsplitter_corners(kappa, d, n_max + 1)
+    for total, corner in enumerate(amp):
+        keep = np.diag((np.arange(d) <= total).astype(float))
+        np.testing.assert_allclose(corner @ corner.T, keep, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(corner.T @ corner, keep, rtol=0.0, atol=atol)
 
 
 def _thermal_state(mean, dim):
@@ -150,7 +178,7 @@ class TestThermalLossOracle:
         # 1e-10; that part of the map is a positive operator of trace below
         # 1e-10, which bounds each of its elements
         (0.03, 1e-10),
-        # vacuum environment: both sides are exact up to rounding in expm
+        # vacuum environment: both sides are exact up to rounding
         (0.0, 1e-13)])
     def test_matches_the_beamsplitter_on_a_product_space(self, mode, n_b, tol):
         dims = (4, 3)
@@ -159,6 +187,43 @@ class TestThermalLossOracle:
         got = fo.apply_thermal_loss(st, mode, ch).data
         want = _dilation_reference(st.data, dims, mode, ch, cut=18)
         assert np.abs(got - want).max() <= tol
+
+
+class TestBeamsplitterCorners:
+    def test_full_width_corners_are_orthogonal(self):
+        _assert_full_width_orthogonal(0.7, 25, 1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kappa=hst.floats(0.0, 1.0, exclude_min=True), n_max=hst.integers(0, 40))
+    def test_full_width_corners_are_orthogonal_for_any_kappa(self, kappa, n_max):
+        _assert_full_width_orthogonal(kappa, n_max, 1e-13)
+
+    # verify's covariance dilation (d = 28, 69 environment levels) at
+    # kappa = 0.7, where one-sided recurrences were 3e-7 off, and fig3's
+    # n_b = 10 (1151 levels)
+    @pytest.mark.parametrize("kappa, d, n_env", [(0.7, 28, 69), (0.8, 12, 1151)])
+    def test_corners_match_the_mpmath_sum(self, kappa, d, n_env):
+        n_total = d + n_env - 1
+        amp = fo.beamsplitter_corners(kappa, d, n_total)
+        for total in np.linspace(0, n_total - 1, 13).astype(int):
+            for j in range(0, min(d, total + 1), 4):
+                for n in range(0, min(d, total + 1), 4):
+                    want = _corner_entry_mp(kappa, int(total), j, n)
+                    assert abs(amp[total, j, n] - float(want)) <= 1e-14
+
+
+class TestNoisyOracle:
+    # fig3's channel at n_b = 1 and 10: the environment takes 127 and 1151
+    # levels.  The dilation is exact below the d = 20 cutoff up to the 1e-10
+    # environment mass it leaves out, and fock_diagonal's window is wider.
+    @pytest.mark.parametrize("n_b", [1.0, 10.0])
+    def test_fock_diagonal_matches_the_number_kernel(self, n_b):
+        ch, energy, cutoff = ThermalLossChannel(0.8, n_b), 0.1, 20
+        probs = fock_diagonal(energy, ch).probs
+        n_s, n_i = min(cutoff, probs.shape[0]), min(cutoff, probs.shape[1])
+        lossy = fo.apply_thermal_loss(fo.tmsv_state(energy, cutoff), 0, ch)
+        dense = np.real(np.diag(lossy.data)).reshape(cutoff, cutoff)
+        assert np.abs(probs[:n_s, :n_i] - dense[:n_s, :n_i]).max() <= 1e-10
 
 
 class TestEntropies:
@@ -193,9 +258,9 @@ class TestStructure:
     def test_total_numbers(self):
         np.testing.assert_array_equal(fo.total_numbers((2, 2)), [0, 1, 1, 2])
 
-    def test_noisy_loss_keeps_one_beamsplitter_block_alive(self):
-        # about 127 environment levels: the blocks run to 132 x 132, and all
-        # of them together take 6 MB
+    def test_noisy_loss_keeps_only_the_corner_table(self):
+        # about 127 environment levels: the full blocks would run to
+        # 132 x 132 and take 6 MB together; the 6 x 6 corners take 38 kB
         st = fo.tmsv_state(0.5, 6)
         tracemalloc.start()
         try:
@@ -204,12 +269,6 @@ class TestStructure:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-
-    def test_beamsplitter_blocks_are_unitary(self):
-        theta = math.acos(math.sqrt(0.7))
-        for block in fo.beamsplitter_blocks(theta, 25):
-            np.testing.assert_allclose(
-                block @ block.T, np.eye(block.shape[0]), atol=1e-12)
 
     def test_partial_trace_of_perfectly_correlated_state(self):
         # a Schmidt-form vector sum_n c_n |n, n> has the reduced state
