@@ -16,6 +16,7 @@ from .photon_dist import PhotonDistribution
 
 _HERM_TOL = 1e-10
 _EIG_CLIP = 1e-8
+_GEMM_SIZE = 2**19  # multiply-adds; OpenBLAS threads larger products, then spins
 
 
 @dataclass
@@ -159,11 +160,11 @@ def apply_thermal_loss(state, mode, ch):
     1e-10; output photons above the mode's own cutoff are dropped, which is
     the only other truncation (trace is preserved up to those tails).
 
-    The Kraus operators that move the mode from n to n + s photons share one
-    shift s, so their sum over the environment's input photon number k is
-    the single product G_s[n, n'] = sum_k tau_k A_s[k, n] A_s[k, n'], with
-    tau the environment's law and A_s[k, n] = U_{n+k}[n+s, n] the dilation
-    amplitude, and out[n+s, n'+s] = sum_s G_s[n, n'] rho[n, n'].
+    Kraus operators moving the mode from n to n + s photons sum over the
+    environment's law tau to G_s[n, n'] = sum_k tau_k A_s[k, n] A_s[k, n'],
+    A_s[k, n] = U_{n+k}[n+s, n].  Bra and ket shift together, so each offset
+    t = n - n' maps to itself: out[j, j-t] = sum_n G_{j-n}[n, n-t] rho[n, n-t]
+    is a real matrix product with the float view of rho's t-th diagonal.
     """
     if not 0 <= mode < len(state.dims):
         raise ValueError(f"mode {mode} out of range for dims {state.dims}")
@@ -177,24 +178,24 @@ def apply_thermal_loss(state, mode, ch):
     d = state.dims[mode]
     amp = beamsplitter_corners(ch.kappa, d, d + n_env - 1)
 
-    n_modes = len(state.dims)
-    work = state.data.reshape(state.dims + state.dims)
-    work = np.moveaxis(work, (mode, n_modes + mode), (0, 1))
-    rest_shape = work.shape[2:]
-    work = work.reshape(d, d, -1)
-    out = np.zeros_like(work)
-
-    ks = np.arange(n_env)[:, None]
+    g = np.zeros((2 * d - 1, d, d))  # g[d - 1 + s] = G_s
     for s in range(1 - d, min(d, n_env)):
-        lo, hi = max(0, -s), min(d, d - s)  # input numbers n with n + s < d
-        ns = np.arange(lo, hi)
-        a_s = amp[ns + ks, ns + s, ns]
-        g_s = (tau[:, None] * a_s).T @ a_s
-        out[lo + s:hi + s, lo + s:hi + s] += g_s[:, :, None] * work[lo:hi, lo:hi]
+        ns = np.arange(max(0, -s), min(d, d - s))  # input numbers n with n + s < d
+        a_s = amp[ns + np.arange(n_env)[:, None], ns + s, ns]
+        g[d - 1 + s, ns[:, None], ns] = (tau[:, None] * a_s).T @ a_s
 
-    out = out.reshape((d, d) + rest_shape)
-    out = np.moveaxis(out, (0, 1), (mode, n_modes + mode))
-    return FockOperator(state.dims, out.reshape(state.data.shape))
+    axes = (mode, len(state.dims) + mode)
+    rho = np.moveaxis(state.data.reshape(state.dims + state.dims), axes, (0, 1))
+    data = np.empty_like(state.data)
+    out = np.moveaxis(data.reshape(state.dims + state.dims), axes, (0, 1))
+    for t in range(1 - d, d):
+        r = np.arange(max(0, t), d + min(0, t))  # n with n and n - t below d
+        m_t, slab = g[d - 1 + r[:, None] - r, r, r - t], rho[r, r - t]
+        flat, step = slab.reshape(r.size, -1).view(float), _GEMM_SIZE // r.size**2 or 1
+        for c in range(0, flat.shape[1], step):
+            flat[:, c:c + step] = m_t @ flat[:, c:c + step]
+        out[r, r - t] = slab
+    return FockOperator(state.dims, data)
 
 
 def _entropy_bits(w):

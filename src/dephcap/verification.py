@@ -59,16 +59,15 @@ def check_single_mode_thermal_identity():
     return CheckResult("single-mode capacity equals g(E)", worst, 0.0, 1e-10)
 
 
-def _optimal_joint_weight(m, lam, occupations):
-    """Probability of one m-mode occupation pattern under the optimal input.
+def _optimal_joint_weights(m, lam, patterns):
+    """Probabilities of m-mode occupation patterns under the optimal input.
 
     Within each shell of total photon number n the optimal law is uniform, so
-    the pattern weight is C(n+m-1, m-1) lambda^n / normalization (lambda > 0).
+    a pattern's weight is C(n+m-1, m-1) lambda^n / normalization (lambda > 0).
     """
-    total = int(sum(occupations))
-    log_norm = squared_binomial_law(m, lam)[0]
-    return math.exp(log_binomial(total + m - 1, m - 1)
-                    + total * math.log(lam) - log_norm)
+    log_norm, log_lam = squared_binomial_law(m, lam)[0], math.log(lam)
+    return np.array([math.exp(log_binomial(n + m - 1, m - 1) + n * log_lam - log_norm)
+                     for n in map(sum, patterns)])
 
 
 def check_two_mode_optimal_input_mi():
@@ -82,7 +81,7 @@ def check_two_mode_optimal_input_mi():
     sol = dephasing_exact.solve_dephasing(m, energy)
     patterns = [(n1, n2) for n1 in range(total_cut + 1)
                 for n2 in range(total_cut + 1 - n1)]
-    probs = np.array([_optimal_joint_weight(m, sol.lambda1, pat) for pat in patterns])
+    probs = _optimal_joint_weights(m, sol.lambda1, patterns)
     probs /= probs.sum()  # mass beyond the enumeration cutoff is ~4e-9
     totals = np.array([sum(pat) for pat in patterns])
     mi = fock_oracle.schmidt_dephased_mutual_information(probs, totals)

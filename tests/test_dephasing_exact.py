@@ -17,7 +17,7 @@ from dephcap.dephasing_exact import (
     solve_lambda,
 )
 from dephcap.special_math import squared_binomial_law, thermal_entropy_g
-from dephcap.verification import _optimal_joint_weight
+from dephcap.verification import _optimal_joint_weights
 
 CAPACITY_M2_E1 = 5.322462129777240821346  # bits over the two-mode block
 LAMBDA_M2_E1 = (math.sqrt(3.0) - 1.0) / 2.0
@@ -138,25 +138,23 @@ def test_every_point_solves_inside_its_sandwich(m, log_energy):
 class TestOptimalJointWeight:
     def test_vacuum_pattern_is_the_inverse_normalizer(self):
         # F = 2F1(2,2,1,1/2) = 12 exactly, so the vacuum weight is 1/12.
-        got = _optimal_joint_weight(2, 0.5, (0, 0))
+        got = _optimal_joint_weights(2, 0.5, [(0, 0)])[0]
         assert got == pytest.approx(1.0 / 12.0, rel=1e-13)
 
     def test_one_photon_per_mode_pattern(self):
         # C(3,1) * 0.5^2 / 12 = 1/16.
-        got = _optimal_joint_weight(2, 0.5, (1, 1))
+        got = _optimal_joint_weights(2, 0.5, [(1, 1)])[0]
         assert got == pytest.approx(0.0625, rel=1e-13)
 
     def test_weight_depends_only_on_the_total(self):
-        a = _optimal_joint_weight(3, 0.4, (2, 1, 0))
-        b = _optimal_joint_weight(3, 0.4, (3, 0, 0))
-        c = _optimal_joint_weight(3, 0.4, (1, 1, 1))
+        a, b, c = _optimal_joint_weights(3, 0.4, [(2, 1, 0), (3, 0, 0), (1, 1, 1)])
         assert a == b == c
 
     @pytest.mark.parametrize("k", range(0, 21, 4))
     def test_shell_sum_reproduces_the_total_law(self, k):
         lam = solve_lambda(3, 0.7)
         dist = optimal_total_distribution(3, lam)
-        shell = math.comb(k + 2, 2) * _optimal_joint_weight(3, lam, (k, 0, 0))
+        shell = math.comb(k + 2, 2) * _optimal_joint_weights(3, lam, [(k, 0, 0)])[0]
         assert shell == pytest.approx(dist.probs[k], rel=1e-12)
 
 
@@ -185,7 +183,7 @@ class TestMarginalM2:
     @pytest.mark.parametrize("n1", [0, 1, 5])
     def test_matches_summed_joint_weights(self, n1):
         lam = 0.37
-        want = sum(_optimal_joint_weight(2, lam, (n1, n2)) for n2 in range(200))
+        want = _optimal_joint_weights(2, lam, [(n1, n2) for n2 in range(200)]).sum()
         assert marginal_m2(n1, lam) == pytest.approx(want, rel=1e-12)
 
     def test_normalized(self):

@@ -16,7 +16,7 @@ from dephcap.dephasing_exact import solve_dephasing
 from dephcap.phase_encoding import fock_diagonal
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel
-from dephcap.verification import _optimal_joint_weight
+from dephcap.verification import _optimal_joint_weights
 
 
 def _random_state(dims, seed):
@@ -27,7 +27,7 @@ def _random_state(dims, seed):
 
 
 def _dilation_reference(rho, dims, mode, ch, cut):
-    """Thermal loss on one mode of a two-mode state, from a product space.
+    """Thermal loss on one mode of a multimode state, from a product space.
 
     The beamsplitter is expm[theta (a+ e - a e+)] on a (cut x cut) mode (x)
     environment space.  The environment's thermal law keeps its first
@@ -42,9 +42,11 @@ def _dilation_reference(rho, dims, mode, ch, cut):
     d = dims[mode]
     tau = fo.thermal_probs(ch.n_b / (1.0 - ch.kappa), cut - d + 1)
     u_in = u[:, :, :d, :tau.size]  # <j, e| U |n, k>
-    work = np.moveaxis(rho.reshape(dims + dims), (mode, 2 + mode), (0, 2))
-    out = np.einsum("jenk,k,nopq,repk->jorq", u_in, tau, work, u_in)
-    out = np.moveaxis(out[:d, :, :d, :], (0, 2), (mode, 2 + mode))
+    axes = (mode, len(dims) + mode)
+    work = np.moveaxis(rho.reshape(dims + dims), axes, (0, 1))
+    out = np.einsum("jenk,k,npx,repk->jrx", u_in, tau, work.reshape(d, d, -1), u_in,
+                    optimize=True)
+    out = np.moveaxis(out[:d, :d].reshape(work.shape), (0, 1), axes)
     return out.reshape(rho.shape)
 
 
@@ -172,7 +174,11 @@ class TestThermalLossOracle:
         mean = np.arange(40) @ diag
         assert mean == pytest.approx(0.8 * 0.3 + 0.5, abs=1e-8)
 
-    @pytest.mark.parametrize("mode", [0, 1])
+    # the middle mode of three gathers from a view whose trailing axes are
+    # not contiguous
+    @pytest.mark.parametrize("dims, mode", [
+        ((4, 3), 0), ((4, 3), 1), ((3, 4, 2), 0), ((3, 4, 2), 1), ((3, 4, 2), 2)],
+        ids=["0", "1", "3x4x2-0", "3x4x2-1", "3x4x2-2"])
     @pytest.mark.parametrize("n_b, tol", [
         # the oracle drops environment photon numbers of total mass below
         # 1e-10; that part of the map is a positive operator of trace below
@@ -180,13 +186,24 @@ class TestThermalLossOracle:
         (0.03, 1e-10),
         # vacuum environment: both sides are exact up to rounding
         (0.0, 1e-13)])
-    def test_matches_the_beamsplitter_on_a_product_space(self, mode, n_b, tol):
-        dims = (4, 3)
+    def test_matches_the_beamsplitter_on_a_product_space(self, dims, mode, n_b, tol):
         st = _random_state(dims, seed=5)
         ch = ThermalLossChannel(0.7, n_b)
         got = fo.apply_thermal_loss(st, mode, ch).data
         want = _dilation_reference(st.data, dims, mode, ch, cut=18)
         assert np.abs(got - want).max() <= tol
+
+    # beside a 30-level mode, the 20-level mode's offset-0 product has
+    # 20 x 20 x 1800 multiply-adds and runs in two column blocks
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_acts_on_its_factor_of_a_product_state(self, mode):
+        ch = ThermalLossChannel(0.7, 0.3)
+        one, other = _random_state((20,), seed=1).data, _random_state((30,), seed=2).data
+        lossy = fo.apply_thermal_loss(fo.FockOperator((20,), one), 0, ch).data
+        dims, pair, want = (((20, 30), (one, other), np.kron(lossy, other)) if mode == 0
+                            else ((30, 20), (other, one), np.kron(other, lossy)))
+        got = fo.apply_thermal_loss(fo.FockOperator(dims, np.kron(*pair)), mode, ch).data
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestBeamsplitterCorners:
@@ -244,7 +261,7 @@ class TestSchmidtDephasedMutualInformation:
     def test_flagship_two_mode_input_attains_the_capacity(self):
         sol = solve_dephasing(2, 0.3)
         patterns = [(a, t - a) for t in range(31) for a in range(t + 1)]
-        probs = np.array([_optimal_joint_weight(2, sol.lambda1, p) for p in patterns])
+        probs = _optimal_joint_weights(2, sol.lambda1, patterns)
         totals = [sum(p) for p in patterns]
         got = fo.schmidt_dephased_mutual_information(probs, totals)
         assert got == pytest.approx(sol.capacity, abs=1e-5)
@@ -269,6 +286,27 @@ class TestStructure:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_loss_allocates_one_state_beyond_its_input(self):
+        # the result is the only state-sized array; each offset's slab and
+        # its product are at most 1/d of it
+        st = fo.tmsv_state(0.1, 28)
+        tracemalloc.start()
+        try:
+            fo.apply_thermal_loss(st, 0, ThermalLossChannel(0.8, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * st.data.nbytes
+
+    @pytest.mark.parametrize("dims, mode, kappa, n_b", [
+        ((12, 12), 0, 0.8, 0.5), ((3, 4, 2), 1, 0.7, 0.3), ((3, 4, 2), 2, 1.0, 0.0)])
+    def test_loss_leaves_its_input_alone(self, dims, mode, kappa, n_b):
+        st = _random_state(dims, seed=4)
+        before = st.data.copy()
+        out = fo.apply_thermal_loss(st, mode, ThermalLossChannel(kappa, n_b))
+        assert np.array_equal(st.data, before)
+        assert not np.shares_memory(out.data, st.data)
 
     def test_partial_trace_of_perfectly_correlated_state(self):
         # a Schmidt-form vector sum_n c_n |n, n> has the reduced state
