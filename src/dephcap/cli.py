@@ -137,6 +137,16 @@ def _entropies(m, energy):
             bounds_mod.entropy_total_asym(m, energy))
 
 
+def _capacities(ch, energy):
+    """(ea, hsw) of the loss channel, refused where they round to ea < hsw."""
+    ea = thermal_loss.ea_capacity(ch, energy)
+    hsw = thermal_loss.hsw_capacity(ch, energy)
+    if ea < hsw * (1.0 - 1e-12):
+        raise ContractViolation(
+            f"assisted capacity {ea} is below the unassisted {hsw}")
+    return ea, hsw
+
+
 def _write(text, out):
     if out is None:
         click.echo(text, nl=False)
@@ -283,18 +293,17 @@ def cmd_fig3(kappa, energy, nb, modes, out_dir):
     grid = parse_mode_grid(modes)
     if energy == 0.0:
         raise ValueError("fig3 divides by the unassisted capacity, which is 0 at E = 0")
-    os.makedirs(out_dir, exist_ok=True)
     curves = []
     for n_b in nb:
         ch = ThermalLossChannel(kappa, n_b)
-        hsw = thermal_loss.hsw_capacity(ch, energy)
+        ea, hsw = _capacities(ch, energy)
         if hsw <= 0.0:
             raise ContractViolation(
                 f"cannot normalize by a nonpositive baseline {hsw} at nb={n_b:g}")
-        curves.append((n_b, hsw, thermal_loss.ea_capacity(ch, energy),
-                       phase_encoding.holevo_phase_encoding(energy, ch)))
+        curves.append((n_b, hsw, ea, phase_encoding.holevo_phase_encoding(energy, ch)))
     # the total-count entropies do not depend on the noise level: one each
     entropies = _parallel_map(lambda m: _entropies(m, energy), grid)
+    tables = []  # every table is checked before the first file is written
     for n_b, hsw, ea, chi in curves:
         rows = [(m, ea / hsw, (ea - h_exact / m) / hsw, (ea - h_asym / m) / hsw,
                  (chi - h_exact / m) / hsw, (chi - h_asym / m) / hsw)
@@ -302,11 +311,14 @@ def cmd_fig3(kappa, energy, nb, modes, out_dir):
         for m, upper, lb, lb_asym, chi_lb, chi_lb_asym in rows:
             slack = 1e-12 * max(1.0, abs(upper))
             # the asymptotic columns are NaN together, and then unchecked
-            if not (lb <= upper + slack and chi_lb <= lb + slack
-                    and not lb_asym > upper + slack
+            if not (all(map(math.isfinite, (upper, lb, chi_lb))) and lb <= upper + slack
+                    and chi_lb <= lb + slack and not lb_asym > upper + slack
                     and not chi_lb_asym > lb_asym + slack):
                 raise ContractViolation(
                     f"bound ordering violated at m={m:g}, nb={n_b:g}")
+        tables.append((n_b, rows))
+    os.makedirs(out_dir, exist_ok=True)
+    for n_b, rows in tables:
         path = os.path.join(out_dir, f"fig3_nb{n_b:g}.csv")
         _emit_csv(_FIG3_HEADER, rows, path)
 
@@ -328,8 +340,7 @@ def cmd_bounds(kappa, nb, energy, modes, out, fmt):
     """Sandwich of the dephased-channel capacity per mode, in bits."""
     grid = parse_mode_grid(modes)
     ch = ThermalLossChannel(kappa, nb)
-    upper = thermal_loss.ea_capacity(ch, energy)
-    baseline = thermal_loss.hsw_capacity(ch, energy)
+    upper, baseline = _capacities(ch, energy)
     entropies = _parallel_map(lambda m: _entropies(m, energy), grid)
     rows = [(m, upper, upper - h_exact / m, upper - h_asym / m, h_exact, h_asym,
              baseline) for m, (h_exact, h_asym) in zip(grid, entropies)]
@@ -356,7 +367,7 @@ def cmd_phase_encoding(kappa, nb, energy, modes, out, fmt):
     """Holevo rate of phase-modulated entangled states on the loss channel."""
     ch = ThermalLossChannel(kappa, nb)
     chi = phase_encoding.holevo_phase_encoding(energy, ch)
-    ea = thermal_loss.ea_capacity(ch, energy)
+    ea, _ = _capacities(ch, energy)
     if chi > ea + 1e-12 * max(1.0, ea):
         raise ContractViolation(
             f"encoding rate {chi} exceeds the assisted capacity {ea}")

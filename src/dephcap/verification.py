@@ -26,10 +26,7 @@ class CheckResult:
     status: str = field(init=False)
 
     def __post_init__(self):
-        if math.isnan(self.value) or math.isnan(self.reference):
-            self.status = "fail"
-        else:
-            self.status = "pass" if self.delta <= self.tolerance else "fail"
+        self.status = "pass" if self.delta <= self.tolerance else "fail"  # NaN fails
 
     @property
     def delta(self):
@@ -42,11 +39,7 @@ class CheckResult:
 
 
 def _skipped(name, note):
-    res = CheckResult.__new__(CheckResult)
-    res.name = name
-    res.value = math.nan
-    res.reference = math.nan
-    res.tolerance = math.nan
+    res = CheckResult(name, math.nan, math.nan, math.nan)
     res.status = f"skipped ({note})"
     return res
 
@@ -100,28 +93,42 @@ def check_complementary_total_count():
     return CheckResult("complementary dephasing output law", worst, 0.0, 1e-10)
 
 
+# channel and energy of the lossy TMSV that four checks compare with closed forms
+_LOSS, _ENERGY = ThermalLossChannel(0.8, 0.5), 0.1
+
+
+def _lossy_tmsv(cutoff):
+    """The TMSV at ``cutoff`` levels per mode after ``_LOSS`` on its signal."""
+    return fock_oracle.apply_thermal_loss(
+        fock_oracle.tmsv_state(_ENERGY, cutoff), 0, _LOSS)
+
+
+def _random_state(dims, seed):
+    """A full-rank density matrix drawn from a complex Gaussian matrix G as G G+."""
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return fock_oracle.FockOperator(dims, rho / np.trace(rho).real)
+
+
 def check_fock_diagonal_vs_dilation():
     """Number-kernel construction vs beamsplitter dilation, element by element."""
-    ch, energy, cutoff = ThermalLossChannel(0.8, 0.5), 0.1, 20
-    probs = phase_encoding.fock_diagonal(energy, ch).probs
-    n_s, n_i = min(cutoff, probs.shape[0]), min(cutoff, probs.shape[1])
-    lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
-    dense = np.real(np.diag(lossy.data)).reshape(cutoff, cutoff)
-    worst = float(np.abs(probs[:n_s, :n_i] - dense[:n_s, :n_i]).max())
+    cutoff = 20
+    probs = phase_encoding.fock_diagonal(_ENERGY, _LOSS).probs[:cutoff, :cutoff]
+    dense = np.real(np.diag(_lossy_tmsv(cutoff).data)).reshape(cutoff, cutoff)
+    worst = float(np.abs(probs - dense[:probs.shape[0], :probs.shape[1]]).max())
     return CheckResult("joint Fock diagonal vs dilation", worst, 0.0, 1e-8)
 
 
 def check_phase_average_diagonality():
-    """Uniform phase randomization leaves no off-diagonal Fock elements."""
-    energy, cutoff, n_phases = 0.1, 12, 64
-    lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, ThermalLossChannel(0.8, 0.5))
-    avg = np.zeros_like(lossy.data)
-    for k in range(n_phases):
-        theta = 2.0 * math.pi * k / n_phases
-        avg += fock_oracle.apply_phase_shift(lossy, 0, theta).data
-    avg /= n_phases
+    """Uniform phase randomization of the signal leaves no off-diagonal elements.
+
+    Averaging over 64 equally spaced phases multiplies rho[n, n'] by
+    sum_k exp(2 pi i k (n - n')/64)/64 = [n = n'] as the signal cutoff d = 12 < 64,
+    a projection that on a TMSV through signal loss equals the total-number one.
+    """
+    avg = fock_oracle.apply_dephasing(_lossy_tmsv(12)).data
     off = avg - np.diag(np.diag(avg))
     return CheckResult("phase-averaged state diagonality",
                        float(np.abs(off).max()), 0.0, 1e-10)
@@ -131,17 +138,14 @@ def check_discrete_phase_holevo():
     """Holevo information of a 64-phase ensemble vs the continuous formula.
 
     Every member is a unitary phase rotation of ``lossy`` and has its
-    entropy, so chi = S(average) - S(lossy).
+    entropy, so chi = S(average) - S(lossy).  The signal cutoff d = 14 is below
+    64, so the average is exactly the projection onto fixed signal numbers.
+    On a TMSV through signal loss that equals the total-number projection.
     """
-    ch, energy, cutoff, n_phases = ThermalLossChannel(0.8, 0.5), 0.1, 14, 64
-    lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
-    avg = fock_oracle.FockOperator(lossy.dims, sum(
-        fock_oracle.apply_phase_shift(lossy, 0, 2.0 * math.pi * k / n_phases).data
-        for k in range(n_phases)) / n_phases)
-    chi_dense = (fock_oracle.von_neumann_entropy(avg)
+    lossy = _lossy_tmsv(14)
+    chi_dense = (fock_oracle.von_neumann_entropy(fock_oracle.apply_dephasing(lossy))
                  - fock_oracle.von_neumann_entropy(lossy))
-    chi = phase_encoding.holevo_phase_encoding(energy, ch)
+    chi = phase_encoding.holevo_phase_encoding(_ENERGY, _LOSS)
     return CheckResult("discrete-phase Holevo information",
                        chi_dense, chi, 1e-3)
 
@@ -177,24 +181,15 @@ def check_covariance_vs_dilation():
     Moments weight the truncation tail by n^2, so this check needs a larger
     cutoff than the element-wise ones to reach its tolerance.
     """
-    ch, energy, cutoff = ThermalLossChannel(0.8, 0.5), 0.1, 28
-    lossy = fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(energy, cutoff), 0, ch)
-    cm = fock_oracle.two_mode_covariance(lossy)
-    ref = phase_encoding.tmsv_through_loss(energy, ch)
+    cm = fock_oracle.two_mode_covariance(_lossy_tmsv(28))
+    ref = phase_encoding.tmsv_through_loss(_ENERGY, _LOSS)
     return CheckResult("covariance matrix vs dilation",
                        float(np.abs(cm - ref).max()), 0.0, 1e-8)
 
 
 def check_loss_dephasing_commutation():
     """Thermal loss on each mode commutes with collective dephasing."""
-    rng = np.random.default_rng(7)
-    dims = (5, 5)
-    dim = dims[0] * dims[1]
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    state = fock_oracle.FockOperator(dims, rho)
+    state = _random_state((5, 5), 7)
 
     def loss_both(s):
         for mode in (0, 1):
@@ -209,13 +204,7 @@ def check_loss_dephasing_commutation():
 
 def check_dephasing_idempotence():
     """Projecting onto total-photon blocks twice changes nothing."""
-    rng = np.random.default_rng(11)
-    dims = (6, 6)
-    dim = dims[0] * dims[1]
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    once = fock_oracle.apply_dephasing(fock_oracle.FockOperator(dims, rho))
+    once = fock_oracle.apply_dephasing(_random_state((6, 6), 11))
     twice = fock_oracle.apply_dephasing(once)
     return CheckResult("dephasing idempotence",
                        float(np.abs(twice.data - once.data).max()), 0.0, 0.0)

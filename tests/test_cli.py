@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -14,7 +15,7 @@ from pathlib import Path
 import click
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import cli
@@ -517,8 +518,8 @@ class TestBoundsCommand:
     @pytest.mark.xfail(strict=True, reason="g(E') - g(A+) cancels when E is far "
                        "below ulp(n_b); ea needs the stable difference of g")
     def test_upper_bound_at_a_tiny_energy_is_not_negative(self, capsys):
-        # prints upper = -9.25538780942e-298 and baseline = 0, where
-        # capacity --thermal-loss at the same point exits 2
+        # upper rounds to -9.25538780942e-298, below baseline = 0, and the
+        # command refuses it with exit 2
         rc = cli.main(["bounds", "-k", "0.8", "--nb", "10", "-E", "1e-300",
                        "-m", "10", "--format", "json"])
         assert rc == 0
@@ -549,7 +550,7 @@ class TestPhaseEncodingCommand:
     @pytest.mark.xfail(strict=True, reason="g(E') - g(A+) cancels when E is far "
                        "below ulp(n_b); ea needs the stable difference of g")
     def test_assisted_capacity_at_a_tiny_energy_is_not_negative(self, capsys):
-        # prints "ea": -9.26e-298 and "relative_correction": NaN
+        # ea rounds to -9.26e-298, and the command refuses it with exit 2
         rc = cli.main(["phase-encoding", "-k", "0.8", "--nb", "10", "-E", "1e-300"])
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
@@ -566,15 +567,18 @@ _EDGE_MODES = hst.sampled_from(["1", "2", "3", "1000", "1.5", "0", "nan", "inf",
 def _documented_ending(argv):
     """(exit code, stdout) of one run, after checking that it ended as documented.
 
-    Exit 0 writes nothing to stderr; exit 1 prints click's usage ``Error:``
-    line or one ``error:`` line; exit 2 prints one ``error:`` line and no
-    output.  No run writes a file, so exit 3 (I/O failure) is not expected.
+    Exit 0 writes nothing to stderr but fig3's ``wrote`` line per file; exit 1
+    prints click's usage ``Error:`` line or one ``error:`` line; exit 2 prints
+    one ``error:`` line and no output.  Runs write files only into a fresh
+    directory, so exit 3 (I/O failure) is not expected.
     """
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli.main(argv)
     lines = err.getvalue().splitlines()
-    if rc == 0:
+    if rc == 0 and argv[0] == "fig3":
+        assert lines and all(line.startswith("wrote ") for line in lines), lines
+    elif rc == 0:
         assert lines == []
     elif rc == 1:
         assert any(line.startswith("Error: ") for line in lines) or (
@@ -591,6 +595,15 @@ def _assert_finite(text, energy):
         # documented NaNs: asymptotic columns out of regime, 0/0 ratios at E = 0
         assert math.isfinite(value) or name.endswith("_asym") or (
             name == "ratio" and energy == 0.0), name
+
+
+def _finite_ratio_rows(text):
+    """Cells of a fig2 or fig3 table, each finite but in the asymptotic columns."""
+    header, *rows = [line.split(",") for line in text.strip().splitlines()]
+    cells = [dict(zip(header, map(float, row))) for row in rows]
+    for name, value in ((n, v) for cell in cells for n, v in cell.items()):
+        assert math.isfinite(value) or "asym" in name, name
+    return cells
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -644,6 +657,76 @@ def test_bounds_end_in_a_documented_way(kappa, nb, energy):
         for row in rows:
             cell = dict(zip(header, map(float, row)))
             assert cell["lower"] <= cell["upper"] + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energy=_EDGE_FLOATS)
+def test_fig2_ends_in_a_documented_way(energy):
+    rc, out = _documented_ending(["fig2", "-E", repr(energy), "--m-max", "3"])
+    if rc == 0:
+        cells = _finite_ratio_rows(out)
+        exact = [cell["exact_ratio"] for cell in cells]
+        assert all(b > a for a, b in zip(exact, exact[1:]))
+        for cell in cells:
+            assert cell["lower_bound_ratio"] <= cell["exact_ratio"] + 1e-12
+            assert cell["exact_ratio"] <= 2.0 + 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kappa=_EDGE_FLOATS, nb=_EDGE_FLOATS, energy=_EDGE_FLOATS)
+@example(kappa=5e-324, nb=0.0, energy=3.7)
+@example(kappa=5e-324, nb=0.0, energy=10.0)
+@example(kappa=5e-324, nb=5e-324, energy=3.7)
+@example(kappa=5e-324, nb=5e-324, energy=10.0)
+def test_fig3_ends_in_a_documented_way(kappa, nb, energy):
+    with tempfile.TemporaryDirectory() as out_dir:
+        rc, _ = _documented_ending(["fig3", "-k", repr(kappa), "--nb", repr(nb),
+                                    "-E", repr(energy), "-m", "1e1:1e2:1/dec",
+                                    "--out-dir", out_dir])
+        tables = [path.read_text() for path in Path(out_dir).iterdir()]
+    if rc != 0:
+        assert tables == []
+        return
+    (text,) = tables
+    for cell in _finite_ratio_rows(text):
+        slack = 1e-12 * max(1.0, abs(cell["upper_ratio"]))
+        assert 1.0 - slack <= cell["upper_ratio"]
+        assert cell["lb_ratio"] <= cell["upper_ratio"] + slack
+        assert cell["chi_lb_ratio"] <= cell["lb_ratio"] + slack
+
+
+class TestImpossibleCapacities:
+    """Closed forms that round to an impossible capacity exit 2 before any output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("bounds -k 5e-324 --nb 0 -E 3.7 -m 10", "is below the unassisted"),
+        ("bounds -k 0.8 --nb 10 -E 1e-300 -m 10", "is below the unassisted"),
+        ("bounds -k 1e-16 --nb 0 -E 1 -m 10", "is below the unassisted"),
+        ("phase-encoding -k 0.8 --nb 10 -E 1e-300", "is below the unassisted"),
+        ("phase-encoding -k 5e-324 --nb 0 -E 3.7", "is below the unassisted"),
+        # chi's own guard refuses this point before ea is formed
+        ("phase-encoding -k 1e-16 --nb 0 -E 1", "negative Holevo information"),
+        ("fig3 -k 5e-324 --nb 0 -E 3.7 -m 1e1:1e2:1/dec", "is below the unassisted"),
+    ])
+    def test_exit_two_with_one_line(self, argv, message, tmp_path, capsys):
+        rc = cli.main(argv.split() + (["--out-dir", str(tmp_path)]
+                                      if argv.startswith("fig3") else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    def test_fig3_checks_every_curve_before_writing(self, tmp_path, monkeypatch, capsys):
+        chi_of = cli.phase_encoding.holevo_phase_encoding
+        monkeypatch.setattr(  # one bit more than ea at the second noise level
+            cli.phase_encoding, "holevo_phase_encoding",
+            lambda energy, ch: chi_of(energy, ch) + (ch.n_b == 1.0))
+        rc = cli.main(["fig3", "--nb", "10", "--nb", "1", "-m", "10",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "bound ordering violated at m=10, nb=1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -16,14 +16,7 @@ from dephcap.dephasing_exact import solve_dephasing
 from dephcap.phase_encoding import fock_diagonal
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel
-from dephcap.verification import _optimal_joint_weights
-
-
-def _random_state(dims, seed):
-    dim = int(np.prod(dims))
-    g = np.random.default_rng(seed).normal(size=(dim, dim, 2)) @ [1.0, 1j]
-    rho = g @ g.conj().T
-    return fo.FockOperator(dims, rho / np.trace(rho).real)
+from dephcap.verification import _optimal_joint_weights, _random_state
 
 
 def _dilation_reference(rho, dims, mode, ch, cut):
@@ -112,10 +105,18 @@ class TestDephasing:
         assert np.array_equal(once.data, twice.data)
 
     def test_matches_explicit_phase_average(self):
+        # 128 equally spaced phases average exactly over fewer than 128 levels
         phases = 2.0 * math.pi * np.arange(128) / 128.0
-        st = _plus_state(4)
-        avg = sum(fo.apply_phase_shift(st, 0, t).data for t in phases) / 128.0
-        np.testing.assert_allclose(avg, fo.apply_dephasing(st).data, atol=1e-12)
+
+        def rotated(st, theta):
+            for mode in range(len(st.dims)):
+                st = fo.apply_phase_shift(st, mode, theta)
+            return st.data
+
+        for st in (_plus_state(4), _random_state((3, 4, 2), 5)):
+            avg = sum(rotated(st, t) for t in phases) / 128.0
+            np.testing.assert_allclose(avg, fo.apply_dephasing(st).data,
+                                       rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [-1, 1])
     def test_phase_shift_rejects_a_mode_out_of_range(self, mode):

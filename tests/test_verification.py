@@ -8,7 +8,8 @@ import numpy as np
 from dephcap import fock_oracle as fo
 from dephcap.thermal_loss import ThermalLossChannel
 from dephcap.verification import (_ALL_CHECKS, CheckResult, _skipped,
-                                  check_discrete_phase_holevo)
+                                  check_discrete_phase_holevo,
+                                  check_phase_average_diagonality)
 
 
 class TestCheckResult:
@@ -43,6 +44,14 @@ def test_registry_is_nonempty_and_named():
     assert len(_ALL_CHECKS) >= 10
     names = [fn.__name__ for fn in _ALL_CHECKS]
     assert len(set(names)) == len(names)
+
+
+def test_phase_checks_project_instead_of_rotating(monkeypatch):
+    def rotation(*args):
+        raise AssertionError("phase average built from rotated copies")
+    monkeypatch.setattr(fo, "apply_phase_shift", rotation)
+    for check in (check_phase_average_diagonality, check_discrete_phase_holevo):
+        assert check().status == "pass"
 
 
 def test_discrete_phase_holevo_is_the_ensemble_formula():
