@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation, SolverError
 from .special_math import check_photons, shannon_entropy, thermal_entropy_g
+from .thermal_loss import ea_capacity
 
 _TAIL_TOL = 1e-9
 # Float64 cells allowed for the Fock kernel's two factors plus their product
@@ -189,7 +190,9 @@ def fock_diagonal(energy, ch):
 
 
 def holevo_phase_encoding(energy, ch):
-    """Holevo information in bits of the continuous-phase TMSV ensemble."""
+    """Holevo information in bits of the continuous-phase TMSV ensemble.
+
+    Refused unless -1e-10 <= chi <= ea (1 + 1e-12); a negative chi returns 0."""
     if check_photons(energy) == 0.0:  # nothing is encoded
         return 0.0
     diag = fock_diagonal(energy, ch)
@@ -198,5 +201,10 @@ def holevo_phase_encoding(energy, ch):
         raise ContractViolation(
             f"negative Holevo information {chi} for kappa={ch.kappa}, "
             f"n_b={ch.n_b}, E={energy}")
-    return max(chi, 0.0)
+    chi = max(chi, 0.0)
+    ea = ea_capacity(ch, energy)
+    if chi > ea * (1.0 + 1e-12):
+        raise ContractViolation(f"encoding rate {chi} exceeds the assisted capacity {ea} "
+                                f"at kappa={ch.kappa}, n_b={ch.n_b}, E={energy}")
+    return chi
 

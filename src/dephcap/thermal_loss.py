@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .errors import ContractViolation, SolverError
 from .special_math import check_photons, thermal_entropy_g
 
-_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class ThermalLossChannel:
@@ -106,16 +104,16 @@ class CapacityReport:
 
 
 def capacity_report(ch, energy):
+    """Both capacities, refused unless ea >= hsw (1 - 1e-12) and, at E > 0, hsw > 0."""
     check_photons(energy)
     e_prime, big_d, a_plus, a_minus = _intermediates(ch, energy)
     ea = ea_capacity(ch, energy)
     hsw = hsw_capacity(ch, energy)
-    if energy > 0.0 and hsw == 0.0:
+    if not ea >= hsw * (1.0 - 1e-12):
+        raise ContractViolation(f"assisted capacity {ea} is below the unassisted {hsw} "
+                                f"at kappa={ch.kappa}, n_b={ch.n_b}, E={energy}")
+    if energy > 0.0 and not hsw > 0.0:
         raise SolverError(f"unassisted capacity rounds to 0 at n_b={ch.n_b}, E={energy}")
     ratio = ea / hsw if energy > 0.0 else math.nan
-    if ea < -_CLAMP or hsw < -_CLAMP or ea + _CLAMP < hsw:
-        raise ContractViolation(
-            f"capacity ordering violated: ea={ea}, hsw={hsw} "
-            f"(kappa={ch.kappa}, n_b={ch.n_b}, E={energy})")
     return CapacityReport(ch.kappa, ch.n_b, energy, ea, hsw, ratio,
                           e_prime, big_d, a_plus, a_minus)

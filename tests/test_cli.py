@@ -129,6 +129,8 @@ class TestCapacityCommand:
         ["capacity", "--pure-dephasing", "--thermal-loss", "-E", "1"],
         ["capacity", "--thermal-loss", "-k", "1.5", "-E", "1"],
         ["capacity", "--thermal-loss", "-m", "4", "-E", "1"],
+        ["capacity", "--pure-dephasing", "-k", "0.5", "-E", "1"],
+        ["capacity", "--pure-dephasing", "--nb", "3", "-E", "1"],
         ["capacity", "--pure-dephasing", "-m", "0", "-E", "1"],
         ["capacity", "--pure-dephasing", "-m", "2", "-E", "-1"],
     ])
@@ -490,6 +492,19 @@ class TestFig3Command:
         assert rc == 1
         capsys.readouterr()
 
+    def test_noise_levels_sharing_a_file_name_exit_one(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # both format as nb0.1, so the second curve would overwrite the first
+        monkeypatch.setattr(cli.thermal_loss, "capacity_report", None)  # no work done
+        rc = cli.main(["fig3", "--nb", "0.1", "--nb", "0.1000001", "-m", "10",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and "--nb 0.1 and --nb 0.1000001" in errors[0]
+        assert "fig3_nb0.1.csv" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBoundsCommand:
     def test_csv_table(self, capsys):
@@ -606,8 +621,21 @@ def _finite_ratio_rows(text):
     return cells
 
 
+# points whose closed forms round to an impossible rate: ea < hsw at
+# kappa = 1e-16 and 5e-324, hsw = 0 beside n_b = 1e17, chi > ea at n_b = 1e-12
+_IMPOSSIBLE_RATES = [(1e-16, 1e-3, 10.0), (5e-324, 0.0, 3.7), (0.8, 1e17, 1.0),
+                     (0.8, 1e-12, 1e-16)]
+
+
+def _at_impossible_rates(harness):
+    for kappa, nb, energy in reversed(_IMPOSSIBLE_RATES):
+        harness = example(kappa=kappa, nb=nb, energy=energy)(harness)
+    return harness
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kappa=_EDGE_FLOATS, nb=_EDGE_FLOATS, energy=_EDGE_FLOATS)
+@_at_impossible_rates
 def test_phase_encoding_ends_in_a_documented_way(kappa, nb, energy):
     tracemalloc.start()
     try:
@@ -621,18 +649,21 @@ def test_phase_encoding_ends_in_a_documented_way(kappa, nb, energy):
     elif rc == 0:
         rep = json.loads(out)
         assert math.isfinite(rep["chi"])
-        assert 0.0 <= rep["chi"] <= max(rep["ea"], 0.0) + 1e-12
+        assert 0.0 <= rep["chi"] <= rep["ea"] * (1.0 + 1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kappa=_EDGE_FLOATS, nb=_EDGE_FLOATS, energy=_EDGE_FLOATS)
+@_at_impossible_rates
 def test_thermal_loss_capacity_ends_in_a_documented_way(kappa, nb, energy):
     rc, out = _documented_ending(["capacity", "--thermal-loss", "-k", repr(kappa),
                                   "--nb", repr(nb), "-E", repr(energy)])
     if rc == 0:
         _assert_finite(out, energy)
         rep = json.loads(out)
-        assert rep["hsw"] <= rep["ea"] + 1e-12
+        if energy > 0.0:
+            assert rep["hsw"] > 0.0
+            assert rep["ea"] >= rep["hsw"] * (1.0 - 1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -648,6 +679,7 @@ def test_pure_dephasing_capacity_ends_in_a_documented_way(modes, energy):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kappa=_EDGE_FLOATS, nb=_EDGE_FLOATS, energy=_EDGE_FLOATS)
+@_at_impossible_rates
 def test_bounds_end_in_a_documented_way(kappa, nb, energy):
     rc, out = _documented_ending(["bounds", "-k", repr(kappa), "--nb", repr(nb),
                                   "-E", repr(energy), "-m", "1e1:1e2:1/dec"])
@@ -657,6 +689,9 @@ def test_bounds_end_in_a_documented_way(kappa, nb, energy):
         for row in rows:
             cell = dict(zip(header, map(float, row)))
             assert cell["lower"] <= cell["upper"] + 1e-12
+            if energy > 0.0:
+                assert cell["baseline"] > 0.0
+                assert cell["upper"] >= cell["baseline"] * (1.0 - 1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -702,11 +737,18 @@ class TestImpossibleCapacities:
         ("bounds -k 5e-324 --nb 0 -E 3.7 -m 10", "is below the unassisted"),
         ("bounds -k 0.8 --nb 10 -E 1e-300 -m 10", "is below the unassisted"),
         ("bounds -k 1e-16 --nb 0 -E 1 -m 10", "is below the unassisted"),
-        ("phase-encoding -k 0.8 --nb 10 -E 1e-300", "is below the unassisted"),
+        # ea rounds to -9.26e-298, below chi = 0
+        ("phase-encoding -k 0.8 --nb 10 -E 1e-300", "exceeds the assisted capacity"),
         ("phase-encoding -k 5e-324 --nb 0 -E 3.7", "is below the unassisted"),
         # chi's own guard refuses this point before ea is formed
         ("phase-encoding -k 1e-16 --nb 0 -E 1", "negative Holevo information"),
         ("fig3 -k 5e-324 --nb 0 -E 3.7 -m 1e1:1e2:1/dec", "is below the unassisted"),
+        ("capacity --thermal-loss -k 1e-16 --nb 1e-3 -E 10", "is below the unassisted"),
+        ("capacity --thermal-loss -k 5e-324 --nb 0 -E 3.7", "is below the unassisted"),
+        ("bounds -k 0.8 --nb 1e17 -E 1 -m 10", "unassisted capacity rounds to 0"),
+        ("phase-encoding -k 0.8 --nb 1e-12 -E 1e-16", "exceeds the assisted capacity"),
+        # the second curve's baseline rounds to 0 after the first one passed
+        ("fig3 --nb 10 --nb 1e17 -E 1 -m 10", "unassisted capacity rounds to 0"),
     ])
     def test_exit_two_with_one_line(self, argv, message, tmp_path, capsys):
         rc = cli.main(argv.split() + (["--out-dir", str(tmp_path)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 
 from dephcap import cli, phase_encoding
 from dephcap.bounds import entropy_total_asym, entropy_total_exact
-from dephcap.errors import SolverError
+from dephcap.errors import ContractViolation, SolverError
 from dephcap.phase_encoding import (
     _number_kernel_log,
     fock_diagonal,
@@ -232,6 +232,15 @@ class TestHolevoPhaseEncoding:
         chi = holevo_phase_encoding(0.001, ch)
         ea = ea_capacity(ch, 0.001)
         assert 0.0 < (ea - chi) / ea < 0.01
+
+    @pytest.mark.parametrize("kappa, n_b, energy", [
+        (0.8, 1e-12, 1e-16),  # chi rounds to 1.44e-14, ea to 7.51e-15
+        (0.8, 10.0, 1e-300)])  # chi is 0, ea rounds to -9.26e-298
+    def test_refuses_a_rate_above_the_assisted_capacity(self, kappa, n_b, energy):
+        ch = ThermalLossChannel(kappa, n_b)
+        with pytest.raises(ContractViolation, match="exceeds the assisted capacity"):
+            holevo_phase_encoding(energy, ch)
+        assert holevo_phase_encoding(0.0, ch) == 0.0
 
     def test_clearly_suboptimal_at_low_noise(self):
         ch = ThermalLossChannel(0.8, 0.01)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dephcap.errors import ContractViolation
+from dephcap.errors import ContractViolation, SolverError
 from dephcap.phase_encoding import gaussian_conditional_entropy
 from dephcap.special_math import thermal_entropy_g
 from dephcap.thermal_loss import (
@@ -147,6 +147,23 @@ class TestCapacityReport:
     def test_zero_energy_ratio_is_nan(self):
         rep = capacity_report(ThermalLossChannel(0.8, 10.0), 0.0)
         assert rep.ea == 0.0
+        assert math.isnan(rep.ratio)
+
+    @pytest.mark.parametrize("kappa, n_b, energy, error, message", [
+        # g(E) - g(A-) cancels once kappa E is below ulp(E): ea 2% below hsw
+        (1e-16, 1e-3, 10.0, ContractViolation, "is below the unassisted"),
+        # ea rounds to 0, hsw to the subnormal 2.1e-320
+        (5e-324, 0.0, 3.7, ContractViolation, "is below the unassisted"),
+        # kappa E is lost to rounding beside n_b
+        (0.8, 1e17, 1.0, SolverError, "unassisted capacity rounds to 0"),
+        # ea rounds to -9.26e-298, hsw to 0
+        (0.8, 10.0, 1e-300, ContractViolation, "is below the unassisted")])
+    def test_refuses_an_impossible_ordering(self, kappa, n_b, energy, error, message):
+        ch = ThermalLossChannel(kappa, n_b)
+        with pytest.raises(error, match=message):
+            capacity_report(ch, energy)
+        rep = capacity_report(ch, 0.0)  # nothing is sent: both rates are 0
+        assert rep.ea == rep.hsw == 0.0
         assert math.isnan(rep.ratio)
 
     @pytest.mark.parametrize(
