@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
 from .photon_dist import PhotonDistribution, build_from_ratios, point_mass
-from .special_math import LN2, check_block, squared_binomial_law, thermal_entropy_g
+from .scalar_math import LN2, thermal_entropy_g
+from .special_math import check_block, squared_binomial_law
 
 # perfbench/spans.py traces these two layers under their former names
 _squared_series_logs = squared_binomial_law

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .special_math import check_photons, shannon_entropy, thermal_entropy_g
+from .scalar_math import check_photons, thermal_entropy_g
+from .special_math import shannon_entropy
 from .thermal_loss import ea_capacity
 
 _TAIL_TOL = 1e-9

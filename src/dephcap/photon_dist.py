@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .special_math import LN2, anchored_products
+from .scalar_math import LN2
+from .special_math import anchored_products
 
 _MASS_SLACK = 1e-12
 # certified bounds on what a window leaves out, summed over both sides

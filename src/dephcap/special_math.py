@@ -1,37 +1,16 @@
-"""Numerically stable scalar building blocks.
+"""Numerically stable building blocks on numpy arrays.
 
-Conventions used throughout the package:
-
-- every public entropy-like quantity is in bits (log base 2); internal
-  accumulation happens in natural logs and is converted once at the end;
-- sums whose terms span a huge dynamic range are taken as products of exact
-  term ratios anchored at the largest term (``anchored_products``), which
-  keeps every term at a few ulps relative; only the anchor itself is carried
-  as a log.
+Sums whose terms span a huge dynamic range are taken as products of exact
+term ratios anchored at the largest term (``anchored_products``), which
+keeps every term at a few ulps relative; only the anchor itself is carried
+as a log.  Entropies are in bits, as in ``scalar_math``.
 """
 
 import math
 
 import numpy as np
 
-LN2 = math.log(2.0)
-
-
-def thermal_entropy_g(n):
-    """Entropy in bits of a thermal (geometric) state with mean occupation ``n``.
-
-    Evaluated as n*log1p(1/n) + log1p(n), which is free of cancellation for
-    both tiny and huge ``n``; the n -> 0 limit is 0.  Where 1/n overflows
-    (n below about 5.6e-309) the same sum is n (1 - ln n) to rounding.
-    """
-    if n < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {n}")
-    if n == 0:
-        return 0.0
-    inv = 1.0 / n
-    if inv == math.inf:
-        return n * (1.0 - math.log(n)) / LN2
-    return (n * math.log1p(inv) + math.log1p(n)) / LN2
+from .scalar_math import check_photons
 
 
 def log_binomial(n, k):
@@ -75,17 +54,6 @@ def shannon_entropy(p):
         raise ValueError(f"probability mass {total} (tail bound {tail}) is not 1")
     nz = probs[probs > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
-
-
-def check_photons(value, name="energy"):
-    """``value`` if it is a finite, nonnegative mean photon number.
-
-    The one check for input energies and added noise: NaN and infinity
-    fail it too, so no later comparison or cutoff sees them.
-    """
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return value
 
 
 def check_block(m, energy, integer=True):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
-from .special_math import check_photons, thermal_entropy_g
+from .scalar_math import check_photons, thermal_entropy_g
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,12 @@ def _intermediates(ch, energy):
     the smaller one is the product
     A+ A- = 2 E (E+1) n_b (n_b + 1 - kappa) / (X + D), with
     X = E (1-kappa) + n_b + 1 + 2 E n_b, divided by the larger one.
+    At E = 0 they are exactly (n_b, n_b + 1, n_b, 0), returned without the
+    n_b^2 that overflows beyond n_b ~ 1.3e154.
     """
     kappa, n_b = ch.kappa, ch.n_b
+    if energy == 0.0:
+        return n_b, n_b + 1.0, n_b, 0.0
     e_prime = kappa * energy + n_b
     d_sq_m1 = (energy * (1.0 - kappa) * (energy * (1.0 - kappa))  # ** 2 raises on overflow
                + 2.0 * energy * ((1.0 + kappa) * n_b + (1.0 - kappa))
@@ -65,8 +69,6 @@ def _intermediates(ch, energy):
 def ea_capacity(ch, energy):
     """Entanglement-assisted classical capacity in bits per channel use."""
     check_photons(energy)
-    if energy == 0.0:
-        return 0.0
     e_prime, _, a_plus, a_minus = _intermediates(ch, energy)
     return (thermal_entropy_g(energy) + thermal_entropy_g(e_prime)
             - thermal_entropy_g(a_plus) - thermal_entropy_g(a_minus))
@@ -75,8 +77,6 @@ def ea_capacity(ch, energy):
 def hsw_capacity(ch, energy):
     """Unassisted (Holevo) classical capacity in bits per channel use."""
     check_photons(energy)
-    if energy == 0.0:
-        return 0.0
     return thermal_entropy_g(ch.output_mean(energy)) - thermal_entropy_g(ch.n_b)
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, dephasing_exact, fock_oracle, phase_encoding
-from .special_math import log_binomial, squared_binomial_law, thermal_entropy_g
+from .scalar_math import thermal_entropy_g
+from .special_math import log_binomial, squared_binomial_law
 from .thermal_loss import ThermalLossChannel, _intermediates
 
 

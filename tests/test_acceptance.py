@@ -14,7 +14,7 @@ from dephcap import cli, verification
 from dephcap.bounds import thermal_total_photon_dist
 from dephcap.dephasing_exact import solve_dephasing
 from dephcap.phase_encoding import fock_diagonal, holevo_phase_encoding
-from dephcap.special_math import thermal_entropy_g
+from dephcap.scalar_math import thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
 MODE_GRID = [10.0 ** (1.0 + j / 10.0) for j in range(61)]  # 10^1 .. 10^7

@@ -22,7 +22,8 @@ from dephcap.bounds import (
     entropy_total_exact,
     thermal_total_photon_dist,
 )
-from dephcap.special_math import shannon_entropy, thermal_entropy_g
+from dephcap.scalar_math import thermal_entropy_g
+from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
 # Law of the summed photon number at m=1e5, E=0.001.

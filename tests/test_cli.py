@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dephcap import cli
+from dephcap import bounds, cli, dephasing_exact, phase_encoding, verification
 from dephcap.verification import CheckResult
 
 
@@ -250,6 +250,16 @@ class TestZeroEnergy:
         assert "0 at E = 0" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        "capacity --thermal-loss", "bounds -m 10", "phase-encoding"])
+    def test_zero_rates_where_the_noise_squared_overflows(self, command, capsys):
+        assert cli.main(command.split() + ["-k", "0.8", "--nb", "1e300", "-E", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rates = [value for name, value in _fields(captured.out)
+                 if name in ("ea", "hsw", "chi", "upper", "lower", "entropy_exact")]
+        assert rates and all(value == 0.0 for value in rates)
+
 
 class TestPreviouslyFailingPoints:
     """Points where the law built from gammaln differences missed unit mass."""
@@ -279,7 +289,7 @@ class TestNumericalFailures:
     def test_out_of_memory_exits_two_with_one_line(self, capsys, monkeypatch):
         def exhausted(m, energy):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
-        monkeypatch.setattr(cli.dephasing_exact, "solve_dephasing", exhausted)
+        monkeypatch.setattr(dephasing_exact, "solve_dephasing", exhausted)
         assert cli.main(["capacity", "--pure-dephasing", "-m", "3", "-E", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -476,10 +486,10 @@ class TestFig3Command:
             grid = cli.parse_mode_grid(grid)
         calls = {"entropy_total_exact": [], "entropy_total_asym": []}
         for name, seen in calls.items():
-            def counted(m, energy, entropy=getattr(cli.bounds_mod, name), seen=seen):
+            def counted(m, energy, entropy=getattr(bounds, name), seen=seen):
                 seen.append(m)
                 return entropy(m, energy)
-            monkeypatch.setattr(cli.bounds_mod, name, counted)
+            monkeypatch.setattr(bounds, name, counted)
         if argv[0] == "fig3":
             argv = argv + ["--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -760,14 +770,15 @@ class TestImpossibleCapacities:
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
     def test_fig3_checks_every_curve_before_writing(self, tmp_path, monkeypatch, capsys):
-        chi_of = cli.phase_encoding.holevo_phase_encoding
-        monkeypatch.setattr(  # one bit more than ea at the second noise level
-            cli.phase_encoding, "holevo_phase_encoding",
-            lambda energy, ch: chi_of(energy, ch) + (ch.n_b == 1.0))
+        ea_of = phase_encoding.ea_capacity
+        monkeypatch.setattr(  # chi's guard sees ea one bit low at the second noise level
+            phase_encoding, "ea_capacity",
+            lambda ch, energy: ea_of(ch, energy) - (ch.n_b == 1.0))
         rc = cli.main(["fig3", "--nb", "10", "--nb", "1", "-m", "10",
                        "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "bound ordering violated at m=10, nb=1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeds the assisted capacity" in err and "n_b=1.0," in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -775,7 +786,7 @@ class TestVerifyCommand:
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         bad = CheckResult("forced failure", value=1.0, reference=0.0,
                           tolerance=1e-9)
-        monkeypatch.setattr(cli.verification, "run_all", lambda: [bad])
+        monkeypatch.setattr(verification, "run_all", lambda: [bad])
         assert cli.main(["verify"]) == 2
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -787,6 +798,13 @@ class TestEntryPoint:
         assert cli.main(["--help"]) == 0
         assert "capacity" in capsys.readouterr().out
 
+    @staticmethod
+    def _fresh_python(*args):
+        """A new interpreter that imports dephcap from this checkout."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy is a test dependency only: importing the CLI does not load
         # it, and neither does verify, whose dilation is plain numpy
@@ -797,10 +815,54 @@ class TestEntryPoint:
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    rc = dephcap.cli.main(['verify'])",
             "print(rc, loaded())"])
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True)
+        proc = self._fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n0 []\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--thermal-loss", "-k", "0.8", "--nb", "10", "-E", "0.001"],
+        ["--help"]], ids=["capacity-thermal", "help"])
+    def test_closed_forms_and_help_leave_numpy_unloaded(self, argv):
+        code = "\n".join([
+            "import contextlib, io, sys, dephcap",
+            "def loaded(): return sorted(m for m in sys.modules",
+            "                            if m.split('.')[0] in ('numpy', 'concurrent'))",
+            "print(loaded())",
+            "import dephcap.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    rc = dephcap.cli.main({argv!r})",
+            "print(rc, loaded())"])
+        proc = self._fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n0 []\n"
+
+    def test_lazy_names_and_submodules_resolve(self):
+        # perfbench/spans.py reads the submodules as attributes of the
+        # package right after importing the CLI
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {str(perfbench)!r})",
+            "import dephcap, dephcap.cli, spans",
+            "print([n for n in dephcap.__all__ if getattr(dephcap, n, None) is None])",
+            "print(all(hasattr(module, attr) for module, attr, *_ in spans.layer_points(dephcap)),",
+            "      hasattr(dephcap.verification, '_ALL_CHECKS'))",
+            "namespace = {}",
+            "exec('from dephcap import *', namespace)",
+            "print(sorted(set(dephcap.__all__) - set(namespace)),",
+            "      hasattr(dephcap, 'no_such_name'), 'no_such_name' in dir(dephcap))"])
+        proc = self._fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nTrue True\n[] False False\n"
+
+    def test_runs_as_a_module(self):
+        proc = self._fresh_python("-m", "dephcap", "verify")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 12 and all(line.startswith("PASS ") for line in lines[:11])
+        assert lines[11] == "11 passed, 0 failed, 0 skipped"
+        proc = self._fresh_python("-m", "dephcap", "capacity", "--bogus")
+        assert proc.returncode == 1
+        assert proc.stdout == "" and "No such option" in proc.stderr
 
     def test_console_script_is_installed(self):
         script = shutil.which("dephcap")

@@ -16,7 +16,8 @@ from dephcap.dephasing_exact import (
     solve_dephasing,
     solve_lambda,
 )
-from dephcap.special_math import squared_binomial_law, thermal_entropy_g
+from dephcap.scalar_math import thermal_entropy_g
+from dephcap.special_math import squared_binomial_law
 from dephcap.verification import _optimal_joint_weights
 
 CAPACITY_M2_E1 = 5.322462129777240821346  # bits over the two-mode block

@@ -20,7 +20,8 @@ from dephcap.phase_encoding import (
     symplectic_eigenvalues,
     tmsv_through_loss,
 )
-from dephcap.special_math import shannon_entropy, thermal_entropy_g
+from dephcap.scalar_math import thermal_entropy_g
+from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel, capacity_report, ea_capacity
 
 

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 
 from dephcap.photon_dist import PhotonDistribution
-from dephcap.special_math import (
-    log_binomial,
-    shannon_entropy,
-    squared_binomial_law,
-    thermal_entropy_g,
-)
+from dephcap.scalar_math import thermal_entropy_g
+from dephcap.special_math import log_binomial, shannon_entropy, squared_binomial_law
 
 G_OF_TEN = 4.83446685613664633949
 LOG_BINOM_1E6_500 = 4296.300049745916891604

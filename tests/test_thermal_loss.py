@@ -11,7 +11,7 @@ import pytest
 
 from dephcap.errors import ContractViolation, SolverError
 from dephcap.phase_encoding import gaussian_conditional_entropy
-from dephcap.special_math import thermal_entropy_g
+from dephcap.scalar_math import thermal_entropy_g
 from dephcap.thermal_loss import (
     CapacityReport,
     ThermalLossChannel,
@@ -148,6 +148,13 @@ class TestCapacityReport:
         rep = capacity_report(ThermalLossChannel(0.8, 10.0), 0.0)
         assert rep.ea == 0.0
         assert math.isnan(rep.ratio)
+
+    @pytest.mark.parametrize("n_b", [0.0, 10.0, 1e100, 1e300])
+    def test_zero_energy_occupations_are_exact(self, n_b):
+        # no n_b^2 is formed, which overflows beyond n_b ~ 1.3e154
+        rep = capacity_report(ThermalLossChannel(0.8, n_b), 0.0)
+        assert (rep.e_prime, rep.big_d, rep.a_plus, rep.a_minus) == (n_b, n_b + 1.0, n_b, 0.0)
+        assert rep.ea == rep.hsw == 0.0
 
     @pytest.mark.parametrize("kappa, n_b, energy, error, message", [
         # g(E) - g(A-) cancels once kappa E is below ulp(E): ea 2% below hsw
