@@ -1,6 +1,6 @@
 """``python -m dephcap``: the command line where no console script is installed."""
 
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -2,23 +2,22 @@
 
 Exit codes: 0 success, 1 usage or domain error, 2 numerical failure
 (contract violation, failed verification check, unconverged solve or
-exhausted memory), 3 I/O failure.
+exhausted memory), 3 I/O failure.  A nonzero exit prints one ``error:`` line
+on stderr, and nothing on stdout but ``verify``'s check lines.
 
 Output is deterministic for a given flag set: rows are emitted in grid
 order and every float is formatted at 12 significant digits.  Sweep points
-are evaluated through a parallel map (capped by DEPH_NUM_THREADS) but
-assembled in input order regardless of completion order.
+run on a thread pool (capped by DEPH_NUM_THREADS) and are kept in grid order.
 
 Each command imports the numerical modules it uses in its own body, so the
 closed-form thermal-loss commands and --help start without numpy.
 """
 
+import argparse
 import json
 import math
 import os
 import sys
-
-import click
 
 from . import thermal_loss
 from .errors import ContractViolation, SolverError
@@ -48,11 +47,9 @@ def _n_workers():
     try:
         n = int(raw)
     except ValueError:
-        raise click.UsageError(
-            f"DEPH_NUM_THREADS must be a positive integer, got {raw!r}")
+        n = 0
     if n < 1:
-        raise click.UsageError(
-            f"DEPH_NUM_THREADS must be a positive integer, got {raw!r}")
+        raise ValueError(f"DEPH_NUM_THREADS must be a positive integer, got {raw!r}")
     return n
 
 
@@ -85,48 +82,43 @@ def parse_mode_grid(spec):
         try:
             value = float(spec)
         except ValueError:
-            raise click.UsageError(f"cannot parse mode count {spec!r}")
+            raise ValueError(f"cannot parse mode count {spec!r}")
         if not value >= 1.0:
-            raise click.UsageError(f"mode count must be >= 1, got {spec!r}")
+            raise ValueError(f"mode count must be >= 1, got {spec!r}")
         if value == math.inf:
-            raise click.UsageError(f"mode count must be finite, got {spec!r}")
+            raise ValueError(f"mode count must be finite, got {spec!r}")
         return [value]
     parts = spec.split(":")
     if len(parts) != 3 or not parts[2].endswith("/dec"):
-        raise click.UsageError(
-            f"mode grid must look like 'START:STOP:K/dec', got {spec!r}")
+        raise ValueError(f"mode grid must look like 'START:STOP:K/dec', got {spec!r}")
     try:
-        start = float(parts[0])
-        stop = float(parts[1])
-        per_dec = int(parts[2][:-4])
+        start, stop, per_dec = float(parts[0]), float(parts[1]), int(parts[2][:-4])
     except ValueError:
-        raise click.UsageError(f"cannot parse mode grid {spec!r}")
+        raise ValueError(f"cannot parse mode grid {spec!r}")
     if not (1.0 <= start < stop) or per_dec < 1:
-        raise click.UsageError(
-            f"mode grid needs 1 <= START < STOP and K >= 1, got {spec!r}")
+        raise ValueError(f"mode grid needs 1 <= START < STOP and K >= 1, got {spec!r}")
     if stop == math.inf:
-        raise click.UsageError(f"mode grid needs a finite STOP, got {spec!r}")
+        raise ValueError(f"mode grid needs a finite STOP, got {spec!r}")
     lo, hi = math.log10(start), math.log10(stop)
     try:
         n_steps = math.floor((hi - lo) * per_dec + 1e-9)
     except OverflowError:  # K beyond the float range
         n_steps = math.inf
     if n_steps + 1 > MAX_SWEEP_POINTS:
-        raise click.UsageError(f"mode grid {spec!r} exceeds the limit of "
-                               f"{MAX_SWEEP_POINTS} points per sweep")
+        raise ValueError(f"mode grid {spec!r} exceeds the limit of "
+                         f"{MAX_SWEEP_POINTS} points per sweep")
     return [10.0 ** (lo + j / per_dec) for j in range(n_steps + 1)]
 
 
 def _single_integer_modes(spec):
-    values = parse_mode_grid(spec)
-    if len(values) != 1:
-        raise click.UsageError("this command takes a single mode count, not a grid")
-    m = values[0]
+    m, *grid = parse_mode_grid(spec)
+    if grid:
+        raise ValueError("this command takes a single mode count, not a grid")
     if m > MAX_MODES:
-        raise click.UsageError(f"mode count {spec!r} exceeds the limit of {MAX_MODES} modes")
-    if abs(m - round(m)) > 1e-9:
-        raise click.UsageError(f"mode count must be an integer, got {m}")
-    return int(round(m))
+        raise ValueError(f"mode count {spec!r} exceeds the limit of {MAX_MODES} modes")
+    if not m.is_integer():
+        raise ValueError(f"mode count must be an integer, got {m}")
+    return int(m)
 
 
 def _entropies(bounds, m, energy):
@@ -140,11 +132,11 @@ def _entropies(bounds, m, energy):
 
 def _write(text, out):
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-        click.echo(f"wrote {out}", err=True)
+        print(f"wrote {out}", file=sys.stderr)
 
 
 def _emit_csv(header, rows, out):
@@ -157,42 +149,21 @@ def _emit_json(obj, out):
     _write(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
-@click.group()
-def cli():
-    """Capacities of lossy bosonic channels under collective phase noise."""
-
-
-@cli.command("capacity")
-@click.option("--pure-dephasing", "pure_deph", is_flag=True,
-              help="m-mode channel applying one uniformly random phase.")
-@click.option("--thermal-loss", "thermal", is_flag=True,
-              help="single-mode loss with added thermal noise.")
-@click.option("--kappa", "-k", type=float, default=1.0, show_default=True,
-              help="transmissivity (thermal loss).")
-@click.option("--nb", type=float, default=0.0, show_default=True,
-              help="added noise photons (thermal loss).")
-@click.option("--energy", "-E", type=float, required=True,
-              help="mean photon number per mode at the input.")
-@click.option("--modes", "-m", default=None,
-              help="number of modes (pure dephasing only).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
     """Assisted and unassisted capacity of one channel, as a JSON record."""
     if pure_deph == thermal:
-        raise click.UsageError(
-            "choose exactly one of --pure-dephasing / --thermal-loss")
+        raise ValueError("choose exactly one of --pure-dephasing / --thermal-loss")
     if pure_deph:
         if kappa != 1.0 or nb != 0.0:
-            raise click.UsageError("--kappa and --nb apply to --thermal-loss only")
+            raise ValueError("--kappa and --nb apply to --thermal-loss only")
         from . import dephasing_exact
         m = 1 if modes is None else _single_integer_modes(modes)
         sol = dephasing_exact.solve_dephasing(m, energy)
-        baseline = m * thermal_entropy_g(energy)
         report = {
             "channel": {"kind": "pure-dephasing", "modes": m, "energy": energy},
             "ea_total": sol.capacity,
             "ea_per_mode": sol.capacity_per_mode,
-            "hsw_total": baseline,
+            "hsw_total": m * thermal_entropy_g(energy),
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
@@ -203,7 +174,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
         }
     else:
         if modes is not None:
-            raise click.UsageError("--modes applies to --pure-dephasing only")
+            raise ValueError("--modes applies to --pure-dephasing only")
         ch = ThermalLossChannel(kappa, nb)
         rep = thermal_loss.capacity_report(ch, energy)
         report = {
@@ -222,22 +193,17 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
     _emit_json(report, out)
 
 
-_FIG2_HEADER = ("m", "exact_ratio", "lower_bound_ratio", "asym_lower_ratio",
-                "upper_ratio")
+_FIG2_HEADER = ("m", "exact_ratio", "lower_bound_ratio", "asym_lower_ratio", "upper_ratio")
 
 
-@cli.command("fig2")
-@click.option("--energy", "-E", type=float, default=1.0, show_default=True)
-@click.option("--m-max", type=int, default=20, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_fig2(energy, m_max, out):
     """Capacity gain of joint phase references: ratios over m*g(E) for m=1..M."""
     from . import bounds, dephasing_exact
     if m_max < 1:
-        raise click.UsageError(f"--m-max must be >= 1, got {m_max}")
+        raise ValueError(f"--m-max must be >= 1, got {m_max}")
     if m_max > MAX_SWEEP_POINTS:
-        raise click.UsageError(f"--m-max exceeds the limit of {MAX_SWEEP_POINTS} "
-                               "points per sweep")
+        raise ValueError(f"--m-max exceeds the limit of {MAX_SWEEP_POINTS} "
+                         "points per sweep")
     if energy == 0.0:
         raise ValueError("fig2 divides by g(E), which is 0 at E = 0")
     rep = thermal_loss.capacity_report(ThermalLossChannel(1.0, 0.0), energy)
@@ -265,18 +231,10 @@ def cmd_fig2(energy, m_max, out):
 
 _FIG3_HEADER = ("m", "upper_ratio", "lb_ratio", "lb_asym_ratio",
                 "chi_lb_ratio", "chi_lb_asym_ratio")
+_FIG3_NB = (10.0, 1.0, 0.1, 0.01)  # one sweep and one file each; a --nb replaces them
 
 
-@cli.command("fig3")
-@click.option("--kappa", "-k", type=float, default=0.8, show_default=True)
-@click.option("--energy", "-E", type=float, default=0.001, show_default=True)
-@click.option("--nb", type=float, multiple=True,
-              default=(10.0, 1.0, 0.1, 0.01), show_default=True,
-              help="one sweep (and one CSV file) per value.")
-@click.option("--modes", "-m", default="1e1:1e7:10/dec", show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".",
-              show_default=True)
-def cmd_fig3(kappa, energy, nb, modes, out_dir):
+def cmd_fig3(kappa, energy, modes, out_dir, nb=_FIG3_NB):
     """Capacity bounds vs mode count, one file per noise level.
 
     All columns are normalized by the unassisted capacity of the loss
@@ -284,12 +242,13 @@ def cmd_fig3(kappa, energy, nb, modes, out_dir):
     approximation is out of regime (variance too small).
     """
     from . import bounds, phase_encoding
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"--out-dir {out_dir} is not a directory")
     paths = {}
     for n_b in nb:  # values that format alike would overwrite one file
         path = os.path.join(out_dir, f"fig3_nb{n_b:g}.csv")
         if path in paths:
-            raise click.UsageError(f"--nb {paths[path]!r} and --nb {n_b!r} "
-                                   f"both write {path}")
+            raise ValueError(f"--nb {paths[path]!r} and --nb {n_b!r} both write {path}")
         paths[path] = n_b
     grid = parse_mode_grid(modes)
     if energy == 0.0:
@@ -316,15 +275,6 @@ _BOUNDS_HEADER = ("m", "upper", "lower", "lower_asym", "entropy_exact",
                   "entropy_asym", "baseline")
 
 
-@cli.command("bounds")
-@click.option("--kappa", "-k", type=float, required=True)
-@click.option("--nb", type=float, default=0.0, show_default=True)
-@click.option("--energy", "-E", type=float, required=True)
-@click.option("--modes", "-m", required=True,
-              help="single count or log grid 'START:STOP:K/dec'.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
 def cmd_bounds(kappa, nb, energy, modes, out, fmt):
     """Sandwich of the dephased-channel capacity per mode, in bits."""
     from . import bounds
@@ -341,15 +291,6 @@ def cmd_bounds(kappa, nb, energy, modes, out, fmt):
         _emit_csv(_BOUNDS_HEADER, rows, out)
 
 
-@cli.command("phase-encoding")
-@click.option("--kappa", "-k", type=float, required=True)
-@click.option("--nb", type=float, default=0.0, show_default=True)
-@click.option("--energy", "-E", type=float, required=True)
-@click.option("--modes", "-m", default=None,
-              help="optional grid: also report dephased lower bounds per m.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="json", show_default=True)
 def cmd_phase_encoding(kappa, nb, energy, modes, out, fmt):
     """Holevo rate of phase-modulated entangled states on the loss channel."""
     from . import bounds, phase_encoding
@@ -378,54 +319,113 @@ def cmd_phase_encoding(kappa, nb, energy, modes, out, fmt):
         _emit_csv(("m", "chi_lb", "chi_lb_asym"), mode_rows, out)
     else:
         _emit_csv(("kappa", "nb", "energy", "chi", "ea", "relative_correction"),
-                  [(kappa, nb, energy, chi, ea, report["relative_correction"])],
-                  out)
+                  [(kappa, nb, energy, chi, ea, report["relative_correction"])], out)
 
 
-@cli.command("verify")
 def cmd_verify():
     """Run the brute-force cross-check suite and print one line per check."""
     from . import verification
     results = verification.run_all()
     for res in results:
-        click.echo(res.line())
+        print(res.line())
     n_fail = sum(1 for r in results if r.status == "fail")
     n_skip = sum(1 for r in results if r.status.startswith("skipped"))
     n_pass = len(results) - n_fail - n_skip
-    click.echo(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
+    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
     if n_fail:
         raise ContractViolation(f"{n_fail} verification check(s) failed")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ValueError, which main prints as one error line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+    def _parse_optional(self, arg_string):
+        # -1e-3 and -inf are values for the photon-number checks, not options
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+def _file_path(path):
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    return path
+
+
+_SHARED = {  # the options several commands share: dest -> (flags, help, settings)
+    "kappa": (("-k", "--kappa"), "transmissivity", {"type": float}),
+    "nb": (("--nb",), "added noise photons", {"type": float}),
+    "energy": (("-E", "--energy"), "mean photon number per mode", {"type": float}),
+    "modes": (("-m", "--modes"), "mode count, or a log grid 'START:STOP:K/dec'", {}),
+    "out": (("--out",), "write to this file, not stdout", {"type": _file_path}),
+    "fmt": (("--format",), "output format", {"choices": ("csv", "json")}),
+}
+
+
+def _build_parser():
+    parser = _Parser(prog="dephcap", allow_abbrev=False, description="Capacities of "
+                     "lossy bosonic channels under collective phase noise.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, required=(), **defaults):
+        sub = commands.add_parser(name, allow_abbrev=False, description=run.__doc__,
+                                  help=run.__doc__.splitlines()[0])
+        sub.set_defaults(run=run)
+        for dest in (*required, *defaults):
+            flags, text, settings = _SHARED[dest]
+            default = defaults.get(dest)
+            sub.add_argument(*flags, dest=dest, required=dest in required, default=default,
+                             help=text if default is None else f"{text} (default: {default})",
+                             **settings)
+        return sub
+
+    capacity = command("capacity", cmd_capacity, ["energy"], kappa=1.0, nb=0.0, modes=None,
+                       out=None)
+    capacity.add_argument("--pure-dephasing", dest="pure_deph", action="store_true",
+                          help="m-mode channel applying one uniformly random phase")
+    capacity.add_argument("--thermal-loss", dest="thermal", action="store_true",
+                          help="single-mode loss with added thermal noise")
+    command("fig2", cmd_fig2, energy=1.0, out=None).add_argument(
+        "--m-max", type=int, default=20, help="largest mode count (default: 20)")
+    fig3 = command("fig3", cmd_fig3, kappa=0.8, energy=0.001, modes="1e1:1e7:10/dec")
+    fig3.add_argument("--nb", type=float, action="append", default=argparse.SUPPRESS,
+                      help=f"one CSV file each (default: {' '.join(map(_fmt, _FIG3_NB))})")
+    fig3.add_argument("--out-dir", default=".", help="where the CSV files go (default: .)")
+    command("bounds", cmd_bounds, ["kappa", "energy", "modes"], nb=0.0, out=None, fmt="csv")
+    command("phase-encoding", cmd_phase_encoding, ["kappa", "energy"], nb=0.0, modes=None,
+            out=None, fmt="json")
+    command("verify", cmd_verify)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None):
     """Run the CLI without exiting the interpreter; returns the exit code."""
     try:
-        rv = cli.main(args=argv, prog_name="dephcap", standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
+        args = vars(_PARSER.parse_args(argv))
+        args.pop("run")(**args)
+        return 0
+    except SystemExit as exc:  # --help printed its text
+        return exc.code
     except (ContractViolation, SolverError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        code, message = 2, exc
     except MemoryError as exc:
         detail = " ".join(str(exc).split())
-        click.echo(f"error: out of memory{': ' + detail if detail else ''}", err=True)
-        return 2
+        code, message = 2, f"out of memory{': ' + detail if detail else ''}"
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+        code, message = 3, exc
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    return rv if isinstance(rv, int) else 0
-
-
-def entry():
-    sys.exit(main())
+        code, message = 1, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())
