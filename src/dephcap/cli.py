@@ -65,9 +65,6 @@ def _parallel_map(func, items):
 
 # Most points one sweep evaluates, counted before any list is built
 MAX_SWEEP_POINTS = 100_000
-# Most modes of one pure-dephasing block: the solve holds a few floats per
-# mode, and a certified law's window stops at the same 1e7 terms
-MAX_MODES = 10_000_000
 
 
 def parse_mode_grid(spec):
@@ -110,17 +107,6 @@ def parse_mode_grid(spec):
     return [10.0 ** (lo + j / per_dec) for j in range(n_steps + 1)]
 
 
-def _single_integer_modes(spec):
-    m, *grid = parse_mode_grid(spec)
-    if grid:
-        raise ValueError("this command takes a single mode count, not a grid")
-    if m > MAX_MODES:
-        raise ValueError(f"mode count {spec!r} exceeds the limit of {MAX_MODES} modes")
-    if not m.is_integer():
-        raise ValueError(f"mode count must be an integer, got {m}")
-    return int(m)
-
-
 def _entropies(bounds, m, energy):
     """(exact, asymptotic) entropy in bits of an m-mode block's total count.
 
@@ -157,17 +143,19 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
         if kappa != 1.0 or nb != 0.0:
             raise ValueError("--kappa and --nb apply to --thermal-loss only")
         from . import dephasing_exact
-        m = 1 if modes is None else _single_integer_modes(modes)
-        sol = dephasing_exact.solve_dephasing(m, energy)
+        m, *grid = parse_mode_grid("1" if modes is None else modes)
+        if grid:
+            raise ValueError("this command takes a single mode count, not a grid")
+        sol = dephasing_exact.solve_dephasing(m, energy)  # refuses m > MAX_MODES
         report = {
-            "channel": {"kind": "pure-dephasing", "modes": m, "energy": energy},
+            "channel": {"kind": "pure-dephasing", "modes": sol.m, "energy": energy},
             "ea_total": sol.capacity,
             "ea_per_mode": sol.capacity_per_mode,
-            "hsw_total": m * thermal_entropy_g(energy),
+            "hsw_total": sol.m * thermal_entropy_g(energy),
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
-                "mean_achieved": sol.mean_achieved,
+                "mean_achieved": sol.dist.mean(),  # the optimal law's one reader
                 "support": sol.dist.cutoff,
                 "tail_bound": sol.dist.tail_bound,
             },

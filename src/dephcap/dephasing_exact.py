@@ -8,11 +8,12 @@ C(n+m-1, m-1)^2 lambda^n, with lambda fixed by the mean constraint
 sum_n n P(n) = m E, and with each n-photon shell populated uniformly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import PhotonDistribution, build_from_ratios, point_mass
+from .photon_dist import build_from_ratios, point_mass
 from .scalar_math import LN2, thermal_entropy_g
 from .special_math import check_block, squared_binomial_law
 
@@ -100,9 +101,17 @@ class DephasingSolution:
     m: int
     energy: float
     lambda1: float
-    dist: PhotonDistribution
     capacity: float          # bits per m-mode block
-    mean_achieved: float
+
+    @functools.cached_property
+    def dist(self):
+        """The optimal law, built on first access; its mean must match m E to 1e-9."""
+        dist = optimal_total_distribution(self.m, self.lambda1)
+        target = self.m * self.energy
+        mean = dist.mean()
+        if abs(mean - target) > 1e-9 * target:
+            raise ContractViolation(f"optimal distribution mean {mean} misses m E = {target}")
+        return dist
 
     @property
     def capacity_per_mode(self):
@@ -117,31 +126,23 @@ class DephasingSolution:
 
 
 def solve_dephasing(m, energy):
-    """Solve one (m, E) point: lambda, distribution, and capacity in bits.
+    """Solve one (m, E) point: lambda and the capacity in bits.
 
     The capacity is sum_n P(n) ln[C(n+m-1, m-1)^2 / P(n)], which with
     ln P(n) = 2 ln C(n+m-1, m-1) + n ln(lambda) - ln S0(lambda) is exactly
-    (ln S0(lambda) - m E ln(lambda)) / ln 2 at the solved mean.  Sanity
-    rails: the materialized law's mean must match m E to 1e-9 relative and
-    the capacity must land between the unassisted value m g(E) and its
-    doubling.
+    (ln S0(lambda) - m E ln(lambda)) / ln 2 at the solved mean, so no window
+    of the law is built.  Sanity rail: the capacity must land between the
+    unassisted value m g(E) and its doubling.
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
-        return DephasingSolution(m, 0.0, 0.0, point_mass(), 0.0, 0.0)
+        return DephasingSolution(m, 0.0, 0.0, 0.0)
 
     lam = solve_lambda(m, energy)
-    dist = optimal_total_distribution(m, lam)
     capacity = (_squared_series_logs(m, lam)[0] - m * energy * math.log(lam)) / LN2
-    mean = dist.mean()
-
-    if abs(mean - m * energy) > 1e-9 * m * energy:
-        raise ContractViolation(
-            f"optimal distribution mean {mean} misses m E = {m * energy}")
     base = m * thermal_entropy_g(energy)
     if not base - 1e-9 <= capacity <= 2.0 * base + 1e-9:
         raise ContractViolation(
             f"capacity {capacity} outside [m g(E), 2 m g(E)] = "
             f"[{base}, {2.0 * base}] for m={m}, E={energy}")
-    return DephasingSolution(m, energy, lam, dist, capacity, mean)
-
+    return DephasingSolution(m, energy, lam, capacity)

@@ -56,14 +56,22 @@ def shannon_entropy(p):
     return float(-np.sum(nz * np.log2(nz)))
 
 
+# Most modes of one integer block: the pure-dephasing solve holds a few floats
+# per mode, and a certified law's window stops at the same 1e7 terms
+MAX_MODES = 10_000_000
+
+
 def check_block(m, energy, integer=True):
     """Validated (m, E) of an m-mode block at mean photon number E per mode.
 
-    ``m`` must be a positive integer and is returned as int; with
-    ``integer=False`` any real m >= 1 is accepted and returned as float, so
-    log-spaced mode grids stay exact.  ``energy`` must pass check_photons.
+    ``m`` must be a positive integer of at most MAX_MODES and is returned as
+    int; with ``integer=False`` any real m >= 1 is accepted and returned as
+    float, so log-spaced mode grids stay exact.  ``energy`` must pass
+    check_photons.
     """
     if integer:
+        if m > MAX_MODES:  # before any per-mode array is allocated
+            raise ValueError(f"mode count {m} exceeds the limit of {MAX_MODES} modes")
         if not float(m).is_integer() or m < 1:
             raise ValueError(f"mode count must be a positive integer, got {m}")
         m = int(m)

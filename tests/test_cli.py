@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via its entry function."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dephcap import bounds, cli, dephasing_exact, phase_encoding, verification
+from dephcap import bounds, cli, dephasing_exact, phase_encoding, special_math, verification
 from dephcap.verification import CheckResult
 
 
@@ -50,7 +51,8 @@ class TestModeGrid:
             cli.parse_mode_grid(spec)
 
     def test_largest_block_accepted(self):
-        assert cli._single_integer_modes("1e7") == cli.MAX_MODES
+        m, = cli.parse_mode_grid("1e7")
+        assert special_math.check_block(m, 1.0) == (special_math.MAX_MODES, 1.0)
 
     def test_longest_sweep_accepted(self):
         grid = cli.parse_mode_grid("1:10:99999/dec")
@@ -70,6 +72,9 @@ class TestModeGrid:
          "exceeds the limit of 10000000 modes"),
         ("capacity --pure-dephasing -m 1e8 -E 1", "exceeds the limit of 10000000 modes"),
         ("capacity --pure-dephasing -m 1e300 -E 1", "exceeds the limit of 10000000 modes"),
+        ("capacity --pure-dephasing -m 2.0000000001 -E 1", "must be a positive integer"),
+        ("capacity --pure-dephasing -m 2.5 -E 1", "must be a positive integer"),
+        ("capacity --pure-dephasing -m 1:10:1/dec -E 1", "single mode count, not a grid"),
     ])
     def test_unbounded_sweeps_exit_one_before_allocating(self, argv, message,
                                                          tmp_path, capsys):
@@ -290,6 +295,41 @@ class TestPreviouslyFailingPoints:
     def test_ratio_still_rises_at_twenty_thousand_modes(self, capsys):
         below = self._report(capsys, 19999, 1)["ratio"]
         assert self._report(capsys, 20000, 1)["ratio"] > below
+
+
+class TestOptimalLawBuilds:
+    """The solve is closed form: only the law's one reader, capacity, builds it."""
+
+    @pytest.mark.parametrize("argv, n_laws", [
+        ("fig2 -E 1 --m-max 20", 0),
+        ("verify", 0),
+        ("capacity --pure-dephasing -m 20 -E 1", 1),
+    ])
+    def test_laws_built_per_command(self, argv, n_laws, monkeypatch, capsys):
+        built = []
+
+        def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
+            built.append(m)
+            return build(m, lam)
+        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+        assert len(built) == n_laws
+
+    def test_window_mean_rail_guards_the_printed_law(self, monkeypatch, capsys):
+        def shifted(m, lam, build=dephasing_exact.optimal_total_distribution):
+            dist = build(m, lam)
+            return dataclasses.replace(dist, offset=dist.offset + 1)
+        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", shifted)
+        assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "optimal distribution mean" in lines[0]
+        # fig2 reads no law, so the rail is not in its way
+        assert cli.main(["fig2", "-E", "1", "--m-max", "20"]) == 0
+        capsys.readouterr()
 
 
 class TestNumericalFailures:

@@ -4,12 +4,14 @@ Reference constants were evaluated with mpmath at 50 significant digits.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephcap import dephasing_exact
 from dephcap.dephasing_exact import (
     DephasingSolution,
     optimal_total_distribution,
@@ -89,7 +91,7 @@ class TestSolveDephasing:
         sol = solve_dephasing(2, 1.0)
         assert sol.capacity == pytest.approx(CAPACITY_M2_E1, rel=1e-10)
         assert sol.lambda1 == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
-        assert sol.mean_achieved == pytest.approx(2.0, rel=1e-9)
+        assert sol.dist.mean() == pytest.approx(2.0, rel=1e-9)
 
     def test_twenty_modes_approach_the_doubling_ceiling(self):
         sol = solve_dephasing(20, 1.0)
@@ -122,13 +124,42 @@ class TestSolveDephasing:
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
 
+    def test_law_is_built_once_on_first_access(self, monkeypatch):
+        built = []
+
+        def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
+            built.append(m)
+            return build(m, lam)
+        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
+        sol = solve_dephasing(20, 1.0)
+        assert built == []
+        assert sol.dist is sol.dist
+        assert built == [20]
+
+    def test_solve_needs_no_window_of_the_law(self):
+        # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
+        # but the capacity is closed form and equals g(E) at m = 1
+        sol = solve_dephasing(1, 1e6)
+        assert sol.capacity == pytest.approx(thermal_entropy_g(1e6), rel=1e-12)
+        assert sol.capacity == pytest.approx(21.3742643316, abs=1e-10)
+
+    def test_mode_limit_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit of 10000000 modes"):
+                solve_dephasing(10**8, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(m=st.integers(1, 3000), log_energy=st.floats(-3.0, math.log10(30.0)))
 def test_every_point_solves_inside_its_sandwich(m, log_energy):
     energy = 10.0 ** log_energy
     sol = solve_dephasing(m, energy)
-    assert sol.mean_achieved == pytest.approx(m * energy, rel=1e-9)
+    assert sol.dist.mean() == pytest.approx(m * energy, rel=1e-9)
     g = thermal_entropy_g(energy)
     assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
     assert sol.dist.tail_bound <= 1e-12

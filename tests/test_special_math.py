@@ -12,7 +12,13 @@ import pytest
 
 from dephcap.photon_dist import PhotonDistribution
 from dephcap.scalar_math import thermal_entropy_g
-from dephcap.special_math import log_binomial, shannon_entropy, squared_binomial_law
+from dephcap.special_math import (
+    MAX_MODES,
+    check_block,
+    log_binomial,
+    shannon_entropy,
+    squared_binomial_law,
+)
 
 G_OF_TEN = 4.83446685613664633949
 LOG_BINOM_1E6_500 = 4296.300049745916891604
@@ -110,6 +116,26 @@ class TestLogBinomial:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             log_binomial(5.5, 2)
+
+
+class TestCheckBlock:
+    def test_largest_integer_block_accepted(self):
+        assert check_block(1e7, 0.5) == (MAX_MODES, 0.5)
+        assert type(check_block(1e7, 0.5)[0]) is int
+
+    @pytest.mark.parametrize("m", [MAX_MODES + 1, 1e8, 10**400, 1e300, math.inf])
+    def test_larger_integer_block_refused(self, m):
+        with pytest.raises(ValueError, match="exceeds the limit of 10000000 modes"):
+            check_block(m, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 2.5, 2.0000000001, math.nan])
+    def test_non_integer_block_refused(self, m):
+        with pytest.raises(ValueError, match="positive integer"):
+            check_block(m, 1.0)
+
+    def test_real_mode_counts_have_no_limit(self):
+        # the total-count laws of bounds take log-spaced real m of any size
+        assert check_block(1e8, 1.0, integer=False) == (1e8, 1.0)
 
 
 class TestShannonEntropy:
