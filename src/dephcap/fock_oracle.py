@@ -3,16 +3,15 @@
 Everything here is deliberately brute force: states are dense matrices over a
 tensor-product number basis, dephasing acts by explicit projection onto
 total-photon-number blocks, and thermal loss acts through its beamsplitter
-dilation.  Intended for small cutoffs only; the closed-form modules never
-call into this one.
+dilation.  Intended for small cutoffs only.  The closed-form modules never
+call into this one, and it imports none of them, so a cross-check shares no
+code with what it checks.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .photon_dist import PhotonDistribution
 
 _HERM_TOL = 1e-10
 _EIG_CLIP = 1e-8
@@ -115,15 +114,15 @@ def apply_dephasing(state):
 
 
 def complementary_dephasing(dims, diag):
-    """Distribution of the total photon number the environment learns.
+    """Law of the total photon number the environment learns, as an array.
 
     The dephasing environment sees exactly the block weights, i.e. the law of
     the total photon number over all modes, so only the state's Fock
-    diagonal ``diag`` (over the row-major basis of ``dims``) is read.
+    diagonal ``diag`` (over the row-major basis of ``dims``) is read.  Entry
+    n is the weight of total n; the mass truncation drops is 1 - sum.
     """
     tot = total_numbers(dims)
-    probs = np.bincount(tot, weights=diag, minlength=int(tot.max()) + 1)
-    return PhotonDistribution(probs, max(0.0, 1.0 - float(probs.sum())))
+    return np.bincount(tot, weights=diag, minlength=int(tot.max()) + 1)
 
 
 def beamsplitter_corners(kappa, d, n_total):

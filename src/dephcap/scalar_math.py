@@ -17,9 +17,9 @@ def thermal_entropy_g(n):
     Evaluated as n*log1p(1/n) + log1p(n), which is free of cancellation for
     both tiny and huge ``n``; the n -> 0 limit is 0.  Where 1/n overflows
     (n below about 5.6e-309) the same sum is n (1 - ln n) to rounding.
+    ``n`` must pass check_photons.
     """
-    if n < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {n}")
+    check_photons(n, "mean occupation")
     if n == 0:
         return 0.0
     inv = 1.0 / n

@@ -835,6 +835,18 @@ class TestVerifyCommand:
         assert "FAIL" in out
         assert "0 passed, 1 failed, 0 skipped" in out
 
+    def test_raising_check_ends_verify(self, capsys, monkeypatch):
+        def exhausted():
+            raise MemoryError("cannot allocate the dense state")
+        checks = list(verification._ALL_CHECKS)
+        checks[2] = exhausted
+        monkeypatch.setattr(verification, "_ALL_CHECKS", tuple(checks))
+        assert cli.main(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: out of memory: cannot allocate the dense state"]
+
 
 # stdout of `capacity --thermal-loss -k 0.8 --nb 10 -E 0.001`, the closed forms
 _THERMAL_LOSS_REPORT = """\
@@ -965,6 +977,14 @@ class TestEntryPoint:
         proc = self._fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\nTrue True\n[] False False\n"
+
+    def test_oracle_imports_no_closed_form_module(self):
+        code = "\n".join([
+            "import sys, dephcap.fock_oracle",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dephcap'))"])
+        proc = self._fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['dephcap', 'dephcap.fock_oracle']\n"
 
     def test_runs_as_a_module(self):
         proc = self._fresh_python("-m", "dephcap", "verify")

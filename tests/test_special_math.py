@@ -84,9 +84,10 @@ class TestThermalEntropy:
         vals = [thermal_entropy_g(n) for n in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_entropy_g(-0.1)
+    @pytest.mark.parametrize("n", [-0.1, -1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_mean_rejected(self, n):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thermal_entropy_g(n)
 
 
 class TestLogBinomial:

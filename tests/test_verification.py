@@ -7,7 +7,7 @@ import numpy as np
 
 from dephcap import fock_oracle as fo
 from dephcap.thermal_loss import ThermalLossChannel
-from dephcap.verification import (_ALL_CHECKS, CheckResult, _skipped,
+from dephcap.verification import (_ALL_CHECKS, CheckResult,
                                   check_discrete_phase_holevo,
                                   check_phase_average_diagonality)
 
@@ -34,10 +34,11 @@ class TestCheckResult:
         assert "demo check" in line
         assert "tol=" in line
 
-    def test_skipped_marker(self):
-        res = _skipped("demo", "resource limit")
-        assert res.status.startswith("skipped")
-        assert "SKIP" in res.line().upper()
+    def test_status_follows_the_fields(self):
+        res = CheckResult("demo", value=1.0, reference=1.0, tolerance=0.0)
+        assert res.status == "pass"
+        res.value = 2.0
+        assert res.status == "fail"
 
 
 def test_registry_is_nonempty_and_named():
