@@ -155,7 +155,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
-                "mean_achieved": sol.dist.mean(),  # the optimal law's one reader
+                "mean_achieved": sol.mean_achieved,  # the optimal law's one reader
                 "support": sol.dist.cutoff,
                 "tail_bound": sol.dist.tail_bound,
             },

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from .errors import ContractViolation, SolverError
 from .photon_dist import build_from_ratios, point_mass
 from .scalar_math import LN2, thermal_entropy_g
-from .special_math import check_block, squared_binomial_law
+from .special_math import SquaredBinomialSeries, check_block
 
-# perfbench/spans.py traces these two layers under their former names
-_squared_series_logs = squared_binomial_law
+# perfbench/spans.py traces these two layers under their former names: the
+# series' evaluations at one lambda each, and the law's builder
+_squared_series_logs = SquaredBinomialSeries.at
 build_from_log_pmf = build_from_ratios
 
 _MEAN_RTOL = 1e-10
@@ -40,16 +41,25 @@ def solve_lambda(m, energy):
     m, energy = check_block(m, energy)
     if energy == 0.0:
         return 0.0
+    return _solve_lambda(m, energy)[0]
+
+
+def _solve_lambda(m, energy):
+    """(lambda, ln S0(lambda)) for a checked (m, E > 0).
+
+    One series serves every Newton step; ln S0 is the last step's, at lambda.
+    """
     target = m * energy
     lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
     if hi == 1.0:  # no float is left between the root and the series' pole
         raise SolverError(f"lambda bracket top rounded to 1 (m={m}, E={energy})")
+    series = SquaredBinomialSeries(m)
     # both guesses are exact at m = 1; the first is the m -> infinity limit
     # (E/(E+1))^2, the second the E -> 0 limit, where the mean is m^2 lambda
     q = energy / (energy + 1.0)
     lam = min(max(q ** (2.0 - 1.0 / m), q / m), hi)
     for _ in range(_MAX_ITER):
-        _, mean, var = _squared_series_logs(m, lam)
+        log_s0, mean, var = _squared_series_logs(series, lam)
         miss = mean - target
         # the mean is within 1e-15 relative, or the Newton step in ln lambda
         # is below 1e-15, where rounding of the mean takes over
@@ -77,7 +87,7 @@ def solve_lambda(m, energy):
         raise SolverError(
             f"solved lambda={lam} reproduces mean {mean} instead of "
             f"{target} (m={m}, E={energy})")
-    return lam
+    return lam, log_s0
 
 
 def optimal_total_distribution(m, lam):
@@ -104,14 +114,23 @@ class DephasingSolution:
     capacity: float          # bits per m-mode block
 
     @functools.cached_property
-    def dist(self):
-        """The optimal law, built on first access; its mean must match m E to 1e-9."""
+    def _law(self):
+        """The optimal law and its mean, built on first access; the mean must be m E to 1e-9."""
         dist = optimal_total_distribution(self.m, self.lambda1)
         target = self.m * self.energy
         mean = dist.mean()
         if abs(mean - target) > 1e-9 * target:
             raise ContractViolation(f"optimal distribution mean {mean} misses m E = {target}")
-        return dist
+        return dist, mean
+
+    @property
+    def dist(self):
+        return self._law[0]
+
+    @property
+    def mean_achieved(self):
+        """The optimal law's mean, as its check computed it."""
+        return self._law[1]
 
     @property
     def capacity_per_mode(self):
@@ -131,15 +150,16 @@ def solve_dephasing(m, energy):
     The capacity is sum_n P(n) ln[C(n+m-1, m-1)^2 / P(n)], which with
     ln P(n) = 2 ln C(n+m-1, m-1) + n ln(lambda) - ln S0(lambda) is exactly
     (ln S0(lambda) - m E ln(lambda)) / ln 2 at the solved mean, so no window
-    of the law is built.  Sanity rail: the capacity must land between the
+    of the law is built, and ln S0(lambda) is the lambda solve's last
+    evaluation.  Sanity rail: the capacity must land between the
     unassisted value m g(E) and its doubling.
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
         return DephasingSolution(m, 0.0, 0.0, 0.0)
 
-    lam = solve_lambda(m, energy)
-    capacity = (_squared_series_logs(m, lam)[0] - m * energy * math.log(lam)) / LN2
+    lam, log_s0 = _solve_lambda(m, energy)
+    capacity = (log_s0 - m * energy * math.log(lam)) / LN2
     base = m * thermal_entropy_g(energy)
     if not base - 1e-9 <= capacity <= 2.0 * base + 1e-9:
         raise ContractViolation(

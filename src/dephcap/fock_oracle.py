@@ -71,8 +71,8 @@ def pure_state(vector, dims):
 
 def thermal_probs(mean, dim):
     """Geometric occupation law of a thermal mode, truncated at ``dim`` levels."""
-    if mean < 0.0:
-        raise ValueError(f"mean occupation must be nonnegative, got {mean}")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {mean}")
     if mean == 0.0:
         p = np.zeros(dim)
         p[0] = 1.0

@@ -85,22 +85,25 @@ def check_block(m, energy, integer=True):
 def anchored_products(ratios, anchor):
     """Terms x_0..x_N with x[anchor] = 1 and x[j+1] = x[j] * ratios[j].
 
-    Built by cumulative products outward from the anchor; anchored at the
-    largest term, every entry lies in [0, 1] and carries a relative error of
-    a few ulps per step, whatever the dynamic range.
+    Built by cumulative products outward from the anchor, written straight
+    into x; anchored at the largest term, every entry lies in [0, 1] and
+    carries a relative error of a few ulps per step, whatever the dynamic
+    range.
     """
     x = np.empty(ratios.size + 1)
     x[anchor] = 1.0
-    x[anchor + 1:] = np.cumprod(ratios[anchor:])
-    x[:anchor] = np.cumprod(1.0 / ratios[:anchor][::-1])[::-1]
+    np.multiply.accumulate(ratios[anchor:], out=x[anchor + 1:])
+    left = x[:anchor][::-1]  # x[anchor-1], ..., x[0]
+    np.divide(1.0, ratios[:anchor][::-1], out=left)
+    np.multiply.accumulate(left, out=left)
     return x
 
 
-def squared_binomial_law(m, z):
-    """ln S0(z), mean and variance of the law P(n) ~ C(n+m-1, m-1)^2 z^n.
+class SquaredBinomialSeries:
+    """The law P(n) ~ C(n+m-1, m-1)^2 z^n of one m, for any z in [0, 1).
 
-    S0(z) = sum_n C(n+m-1, m-1)^2 z^n = 2F1(m, m; 1; z).  Euler's
-    transformation (DLMF 15.8(i)) makes it finite:
+    Its normalizer S0(z) = sum_n C(n+m-1, m-1)^2 z^n = 2F1(m, m; 1; z).
+    Euler's transformation (DLMF 15.8(i)) makes it finite:
 
         S0(z) = (1-z)^(1-2m) Q(z),  Q(z) = sum_{k<m} C(m-1, k)^2 z^k,
 
@@ -108,28 +111,49 @@ def squared_binomial_law(m, z):
     certificate is involved.  The mean z d(ln S0)/dz is (2m-1) z/(1-z) plus
     the mean of the weights of Q, and the variance (its derivative in ln z)
     is (2m-1) z/(1-z)^2 plus their variance.  Q is summed as ratio products
-    anchored at its largest term.
+    anchored at its largest term.  What does not depend on z is built once:
+    the bases ((m-1-k)/(k+1))^2 of the term ratios of Q, and ln C(m-1, k) per
+    anchor k.
     """
-    m, _ = check_block(m, 0.0)
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"series argument must lie in [0, 1), got {z}")
-    if z == 0.0:
-        return 0.0, 0.0, 0.0
-    k = np.arange(m, dtype=float)
-    ratios = ((m - 1.0 - k[:-1]) / (k[:-1] + 1.0)) ** 2 * z
-    top = int(np.count_nonzero(ratios >= 1.0))  # ratios decrease in k
-    w = anchored_products(ratios, top)
-    w[top] = 0.0  # Q = 1 + rest: log1p(rest) keeps the (m-1)^2 z of Q at tiny z
-    rest = float(w.sum())
-    w[top] = 1.0
-    total = 1.0 + rest
-    mean_q = float(k @ w) / total
-    var_q = float(((k - mean_q) ** 2) @ w) / total
-    log_q = math.log1p(rest) + 2.0 * log_binomial(m - 1, top) + top * math.log(z)
-    geo = (2 * m - 1) * z / (1.0 - z)
-    return ((1 - 2 * m) * math.log1p(-z) + log_q,
-            geo + mean_q,
-            geo / (1.0 - z) + var_q)
+
+    def __init__(self, m):
+        self.m, _ = check_block(m, 0.0)
+        k = np.arange(self.m - 1, dtype=float)
+        self.bases = ((self.m - 1.0 - k) / (k + 1.0)) ** 2
+        self._log_binomials = {}  # ln C(m-1, k) by anchor k
+
+    def at(self, z):
+        """ln S0(z), mean and variance of the law at z."""
+        if not 0.0 <= z < 1.0:
+            raise ValueError(f"series argument must lie in [0, 1), got {z}")
+        if z == 0.0:
+            return 0.0, 0.0, 0.0
+        m = self.m
+        ratios = self.bases * z
+        top = ratios.size - int(ratios[::-1].searchsorted(1.0))  # ratios decrease in k
+        w = anchored_products(ratios, top)
+        del ratios  # freed before ln C(m-1, top) and the moments allocate
+        log_c = self._log_binomials.get(top)
+        if log_c is None:
+            log_c = self._log_binomials[top] = log_binomial(m - 1, top)
+        w[top] = 0.0  # Q = 1 + rest: log1p(rest) keeps the (m-1)^2 z of Q at tiny z
+        rest = float(w.sum())
+        w[top] = 1.0
+        total = 1.0 + rest
+        k = np.arange(m, dtype=float)
+        mean_q = float(k @ w) / total
+        k -= mean_q
+        var_q = float(np.square(k, out=k) @ w) / total
+        log_q = math.log1p(rest) + 2.0 * log_c + top * math.log(z)
+        geo = (2 * m - 1) * z / (1.0 - z)
+        return ((1 - 2 * m) * math.log1p(-z) + log_q,
+                geo + mean_q,
+                geo / (1.0 - z) + var_q)
+
+
+def squared_binomial_law(m, z):
+    """ln S0(z), mean and variance of the law P(n) ~ C(n+m-1, m-1)^2 z^n at z."""
+    return SquaredBinomialSeries(m).at(z)
 
 
 # former name of squared_binomial_law, looked up by perfbench/spans.py

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import bounds, cli, dephasing_exact, phase_encoding, special_math, verification
+from dephcap.photon_dist import PhotonDistribution
 from dephcap.verification import CheckResult
 
 
@@ -109,6 +110,19 @@ class TestCapacityCommand:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert 1.86 <= rep["ratio"] <= 1.94
+
+    def test_pure_dephasing_reads_the_law_mean_once(self, monkeypatch, capsys):
+        # the law's check computes its mean and the report prints that one
+        means = []
+
+        def counted(dist, mean=PhotonDistribution.mean):
+            means.append(mean(dist))
+            return means[-1]
+        monkeypatch.setattr(PhotonDistribution, "mean", counted)
+        assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert len(means) == 1
+        assert rep["intermediates"]["mean_achieved"] == pytest.approx(means[0], rel=1e-11)
 
     def test_thermal_loss_identity_channel(self, capsys):
         rc = cli.main(["capacity", "--thermal-loss", "-k", "1", "--nb", "0",

@@ -18,7 +18,7 @@ from dephcap.dephasing_exact import (
     solve_dephasing,
     solve_lambda,
 )
-from dephcap.scalar_math import thermal_entropy_g
+from dephcap.scalar_math import LN2, thermal_entropy_g
 from dephcap.special_math import squared_binomial_law
 from dephcap.verification import _optimal_joint_weights
 
@@ -165,6 +165,51 @@ def test_every_point_solves_inside_its_sandwich(m, log_energy):
     assert sol.dist.tail_bound <= 1e-12
     sd = math.sqrt(squared_binomial_law(m, sol.lambda1)[2])
     assert sol.dist.probs.size <= 100.0 * (sd + 1.0)
+
+
+def _visited(m, energy):
+    """solve_dephasing(m, E) and the (lambda, evaluation) of every Newton step."""
+    seen = []
+
+    def recorded(series, lam, evaluate=dephasing_exact._squared_series_logs):
+        seen.append((lam, evaluate(series, lam)))
+        return seen[-1][1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dephasing_exact, "_squared_series_logs", recorded)
+        return solve_dephasing(m, energy), seen
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3000), log_energy=st.floats(-6.0, 3.0))
+def test_capacity_is_the_last_newton_evaluation(m, log_energy):
+    energy = 10.0 ** log_energy
+    sol, seen = _visited(m, energy)
+    lam = sol.lambda1
+    assert seen[-1][0] == lam
+    assert sol.capacity == (squared_binomial_law(m, lam)[0] - m * energy * math.log(lam)) / LN2
+    # one series serves every step; a fresh one gives the same bits at each
+    for z, law in seen:
+        assert law == squared_binomial_law(m, z)
+
+
+@pytest.mark.parametrize("energy, evaluations", [(1.0, 4), (10.0, 3)])
+def test_one_series_evaluation_per_newton_step(energy, evaluations):
+    # the capacity reads ln S0 from the last step instead of a further evaluation
+    assert len(_visited(100, energy)[1]) == evaluations
+
+
+@pytest.mark.parametrize("energy", [0.01, 1.0])
+def test_solve_peaks_below_four_mode_length_arrays(energy):
+    # the series keeps its ratio bases, and an evaluation holds at most two
+    # more m-length arrays at a time
+    m = 10**6
+    tracemalloc.start()
+    try:
+        solve_dephasing(m, energy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 8 * m
 
 
 class TestOptimalJointWeight:

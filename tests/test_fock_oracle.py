@@ -274,6 +274,12 @@ class TestSchmidtDephasedMutualInformation:
             fo.schmidt_dephased_mutual_information(np.array([0.5, 0.4]), [0, 1])
 
 
+@pytest.mark.parametrize("mean", [-0.5, math.nan, math.inf])
+def test_thermal_probs_refuses_a_mean_outside_zero_to_infinity(mean):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fo.thermal_probs(mean, 3)
+
+
 class TestStructure:
     def test_total_numbers(self):
         np.testing.assert_array_equal(fo.total_numbers((2, 2)), [0, 1, 1, 2])
