@@ -105,11 +105,8 @@ def _certified_window(ratio, measure):
             raise SolverError(
                 f"tail certification still open at a window of {_MAX_WINDOW} terms")
         p_lo, p_hi, result = measure(lo, hi, mode)
-        certs = (_geometric_tail(p_lo, 1.0 / ratio(lo - 1)) if lo > 0
-                 else _TailCertificate(),
-                 _geometric_tail(p_hi, ratio(hi)))
-        short = [c is None or c.mass > 0.5 * _TAIL_MASS
-                 or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
+        certs, short = certify_edges(p_lo, 1.0 / ratio(lo - 1) if lo > 0 else None,
+                                     p_hi, ratio(hi))
         if not any(short):
             return lo, certs[0].mass + certs[1].mass, result
         left, right = (2 * left if short[0] else left,
@@ -161,6 +158,20 @@ def scan_from_ratios(ratio):
             mode + shift, second / total - shift * shift)
 
     return _certified_window(ratio, measure)[2]
+
+
+def certify_edges(p_lo, left, p_hi, right):
+    """(tail certificates, [left short, right short]) beyond a window's edges.
+
+    ``p_lo`` and ``p_hi`` are the edge terms, ``left`` = P(lo-1)/P(lo) (None
+    where the window starts at n = 0) and ``right`` = P(hi+1)/P(hi).  A side
+    falls short while its bound exceeds half of the 1e-12 of mass or half of
+    the 1e-11 bits.
+    """
+    certs = (_geometric_tail(p_lo, left) if left is not None else _TailCertificate(),
+             _geometric_tail(p_hi, right))
+    return certs, [c is None or c.mass > 0.5 * _TAIL_MASS
+                   or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
 
 
 @dataclass

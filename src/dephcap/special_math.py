@@ -3,7 +3,10 @@
 Sums whose terms span a huge dynamic range are taken as products of exact
 term ratios anchored at the largest term (``anchored_products``), which
 keeps every term at a few ulps relative; only the anchor itself is carried
-as a log.  Entropies are in bits, as in ``scalar_math``.
+as a log.  A law too wide to sum is evaluated through ``stirling_remainder``
+and ``bd0``, the parts of its log-pmf in the saddle-point form of C. Loader
+("Fast and Accurate Computation of Binomial Probabilities", 2000).
+Entropies are in bits, as in ``scalar_math``.
 """
 
 import math
@@ -32,6 +35,32 @@ def log_binomial(n, k):
         return 0.0
     i = np.arange(1, k + 1, dtype=float)
     return float(np.log((n - k + i) / i).sum())
+
+
+# Stirling series 1/(12x) - 1/(360x^3) + ... + 1/(1188x^9), as a polynomial in
+# 1/x^2; and 1/3, 1/5, ..., 1/17, the odd series of artanh, as one in v^2
+_STIRLING = (1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
+_ARTANH = tuple(1.0 / j for j in range(17, 2, -2)) + (0.0,)
+
+
+def stirling_remainder(x):
+    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, elementwise, for x >= 30.
+
+    Five terms of its series: there the next one is below 1e-19.
+    """
+    return np.polyval(_STIRLING, (1.0 / x) ** 2) / x
+
+
+def bd0(x, d):
+    """Loader's deviance x ln(x/(x-d)) - d >= 0, elementwise, for x - d > 0.
+
+    With v = d/(2x-d) it is d v + 2x (v^3/3 + v^5/5 + ...), terms of one
+    sign, summed to v^17 where |v| < 0.1 (the rest is below 1e-18 of the
+    sum); elsewhere -x log1p(-d/x) - d cancels at most one digit.
+    """
+    v = d / (2.0 * x - d)
+    series = d * v + 2.0 * x * v * np.polyval(_ARTANH, v * v)
+    return np.where(np.abs(v) < 0.1, series, -x * np.log1p(-d / x) - d)
 
 
 _MASS_TOL = 1e-9

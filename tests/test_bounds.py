@@ -13,15 +13,17 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from dephcap import cli
+from dephcap import bounds, cli
 from dephcap.bounds import (
     entropy_total_asym,
     entropy_total_exact,
     thermal_total_photon_dist,
 )
+from dephcap.errors import SolverError
+from dephcap.photon_dist import scan_from_ratios
 from dephcap.scalar_math import thermal_entropy_g
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
@@ -41,6 +43,28 @@ ENTROPY_E1_FULL_SUPPORT = {
     1e5: 10.851910412267099,
     1e7: 14.173843863185342,
 }
+# H(NB(m, E)) in bits of wide laws, at 40 digits, from a trapezoid of the
+# continuous law (its mass is 1 to 1e-33):
+#
+#     mp.mp.dps = 40
+#     m, e = mp.mpf(m), mp.mpf(energy)
+#     mean, sigma = m * e, mp.sqrt(m * e * (e + 1))
+#     h = sigma / 10
+#     c = m * mp.log(1 / (e + 1)) - mp.loggamma(m)
+#     ent = 0
+#     for j in range(-140, 181):  # [-14 sigma, +18 sigma]
+#         t = mean + j * h
+#         lp = mp.loggamma(t + m) - mp.loggamma(t + 1) + c + t * mp.log(e / (e + 1))
+#         ent -= h * mp.exp(lp) * lp
+#     ent / mp.log(2)
+ENTROPY_WIDE_REFS = {
+    (5896.812405806846, 351.8582591889659): 16.77077158913742939465912,
+    (10**2.5, 100.0): 12.84901756532059357338662,
+    (1e6, 10.0): 15.40355924461363778133064,
+    (1e7, 1.0): 14.17384386318534273213876,
+}
+# H(NB(18, 1)) at 40 digits, by direct summation over n < 2000
+ENTROPY_M18_E1 = 4.6011350428202001866
 ENTROPY_ASYM_1E5 = 5.369744667154956690786
 LOWER_M20_LOSSLESS = 3.765984257119098704468
 EA_08_10_0001 = 0.0007394223764090147909
@@ -136,6 +160,76 @@ def test_streamed_entropy_matches_the_materialized_law(log_m, log_energy):
     m, energy = 10.0 ** log_m, 10.0 ** log_energy
     want = shannon_entropy(thermal_total_photon_dist(m, energy))
     assert entropy_total_exact(m, energy) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _is_wide(m, energy):
+    return m * energy - 13.0 * math.sqrt(m * energy * (energy + 1.0)) >= 30.0
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The term ratio of each law that entropy_total_exact sends to the scan."""
+    calls = []
+
+    def scan(ratio):
+        calls.append(ratio)
+        return scan_from_ratios(ratio)
+
+    monkeypatch.setattr(bounds, "scan_from_ratios", scan)
+    return calls
+
+
+class TestWideRoute:
+    @pytest.mark.parametrize("m, energy", sorted(ENTROPY_WIDE_REFS))
+    def test_matches_the_40_digit_trapezoid(self, m, energy):
+        assert _is_wide(m, energy)
+        assert entropy_total_exact(m, energy) == pytest.approx(
+            ENTROPY_WIDE_REFS[m, energy], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e7, 1.0), (1e7, 1e-3)])
+    def test_wide_law_runs_no_scan(self, m, energy, scan_calls):
+        entropy_total_exact(m, energy)
+        assert scan_calls == []
+
+    @pytest.mark.parametrize("m, energy", [(18, 1.0), (1e5, 1e-3)])
+    def test_narrow_law_keeps_the_scan(self, m, energy, scan_calls):
+        assert not _is_wide(m, energy)
+        entropy_total_exact(m, energy)
+        assert len(scan_calls) == 1
+
+    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e4, 1.0), (1e7, 1e-3)])
+    def test_a_coarse_step_fails_the_mass_guard(self, m, energy, monkeypatch):
+        # a step of sigma aliases 4e-9 to 7e-9 of mass into the trapezoid
+        assert _is_wide(m, energy)
+        monkeypatch.setattr(bounds, "_NODES_PER_SIGMA", 1)
+        with pytest.raises(SolverError, match="trapezoid mass"):
+            entropy_total_exact(m, energy)
+
+    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e4, 1.0), (1e7, 1e-3)])
+    def test_an_offset_log_pmf_fails_the_mass_guard(self, m, energy, monkeypatch):
+        assert _is_wide(m, energy)
+        log_pmf = bounds._log_nb_pmf
+        monkeypatch.setattr(bounds, "_log_nb_pmf",
+                            lambda *args: log_pmf(*args) + 1e-11)
+        with pytest.raises(SolverError, match="trapezoid mass"):
+            entropy_total_exact(m, energy)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a narrow law's scan may omit 1e-11 bits of tail entropy and reads "
+        "4.601135042818614, 3.4e-13 low (ROADMAP item 2)"))
+    def test_narrow_scan_at_m_18_matches_the_direct_sum(self):
+        assert entropy_total_exact(18, 1.0) == pytest.approx(
+            ENTROPY_M18_E1, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-3.0, 3.0))
+def test_wide_route_matches_the_scan(log_m, log_energy):
+    # log-uniform m and E; wide laws whose scan stays below 2e5 terms
+    m, energy = 10.0 ** log_m, 10.0 ** log_energy
+    assume(_is_wide(m, energy) and 24.0 * math.sqrt(m * energy * (energy + 1.0)) <= 2e5)
+    want = scan_from_ratios(bounds._negative_binomial_ratio(m, energy))[0]
+    assert bounds._entropy_wide(m, energy)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestEntropyAsym:
