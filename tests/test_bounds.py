@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import bounds, cli
+from dephcap.dephasing_exact import solve_dephasing
 from dephcap.bounds import (
     entropy_total_asym,
     entropy_total_exact,
@@ -24,7 +25,7 @@ from dephcap.bounds import (
 )
 from dephcap.errors import SolverError
 from dephcap.photon_dist import scan_from_ratios
-from dephcap.scalar_math import thermal_entropy_g
+from dephcap.scalar_math import LN2, thermal_entropy_g
 from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
@@ -71,6 +72,8 @@ EA_08_10_0001 = 0.0007394223764090147909
 EA_08_1_0001 = 0.004522904519812368671714
 
 GAUSS_FLOOR = 2.0 * math.pi * math.e  # variance below 1/(2 pi e) has no bits
+# large-m limit of the optimal input's block advantage over the TMSV bound
+ADVANTAGE_LIMIT = 0.5 * math.log2(math.e / 2.0)
 
 
 class TestTotalPhotonLaw:
@@ -334,3 +337,24 @@ class TestBoundsRecords:
         assert "mode count must be >= 1" in capsys.readouterr().err
         with pytest.raises(ValueError):
             entropy_total_exact(0.5, 0.001)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(log_m=hst.floats(3.0, 6.0), log_energy=hst.floats(-3.0, 2.0))
+def test_block_advantage_approaches_its_large_m_limit(log_m, log_energy):
+    # A = capacity - [2 m g(E) - H(NB(m, E))], the exact solve's advantage over
+    # the bound fig2 prints as lower_bound_ratio, obeys
+    # m (ADVANTAGE_LIMIT - A) = c(E) + O(1/m), c(E) = [5/24 + 1/(12 E (E+1))]/ln 2
+    # (fitted, not derived).  K(E) = 0.12 (1 + 1/E^2) is twice the largest
+    # m |m (ADVANTAGE_LIMIT - A) - c| seen over 300 draws; R = 4 ulps of the
+    # block's 2 m g(E) bits bounds A's rounding (at most 0.8 ulp seen).
+    # Below E = 0.01 the expansion starts at m ~ 1e5, so m is drawn from there.
+    energy = 10.0 ** log_energy
+    m = int(10.0 ** (5.0 + (log_m - 3.0) / 3.0 if energy < 0.01 else log_m))
+    block = 2.0 * m * thermal_entropy_g(energy)
+    advantage = solve_dephasing(m, energy).capacity - (
+        block - entropy_total_exact(m, energy))
+    c = (5.0 / 24.0 + 1.0 / (12.0 * energy * (energy + 1.0))) / LN2
+    k = 0.12 * (1.0 + energy ** -2)
+    rounding = 4.0 * 2.0 ** -52 * block
+    assert abs(m * (ADVANTAGE_LIMIT - advantage) - c) <= k / m + m * rounding

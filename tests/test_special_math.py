@@ -14,10 +14,12 @@ from dephcap.photon_dist import PhotonDistribution
 from dephcap.scalar_math import thermal_entropy_g
 from dephcap.special_math import (
     MAX_MODES,
+    bd0,
     check_block,
     log_binomial,
     shannon_entropy,
     squared_binomial_law,
+    stirling_remainder,
 )
 
 G_OF_TEN = 4.83446685613664633949
@@ -117,6 +119,25 @@ class TestLogBinomial:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             log_binomial(5.5, 2)
+
+
+class TestLoaderPrimitives:
+    @pytest.mark.parametrize("x", [30.0, 31.5, 100.0, 1e4, 1e8, 1e15])
+    def test_stirling_remainder_matches_mpmath(self, x):
+        # 60 digits: ln Gamma(1e15) cancels 33 of them against the Stirling part
+        with mp.workdps(60):
+            v = mp.mpf(x)
+            want = float(mp.loggamma(v) - (v - 0.5) * mp.log(v) + v - mp.log(2 * mp.pi) / 2)
+        assert stirling_remainder(np.array([x]))[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x, d", [
+        (100.0, 1.0), (100.0, 18.0), (100.0, -20.0), (1e10, 1e5), (1e7, -1e-3),
+        # |v| = |d/(2x-d)| >= 0.1: the log1p branch
+        (100.0, 19.0), (100.0, 50.0), (1e10, -3e9), (30.0, 29.0)])
+    def test_bd0_matches_mpmath(self, x, d):
+        with mp.workdps(40):
+            want = float(mp.mpf(x) * mp.log(mp.mpf(x) / (mp.mpf(x) - d)) - d)
+        assert bd0(np.array([x]), np.array([d]))[0] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestCheckBlock:
