@@ -17,12 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import bounds, cli
-from dephcap.dephasing_exact import solve_dephasing
 from dephcap.bounds import (
     entropy_total_asym,
     entropy_total_exact,
     thermal_total_photon_dist,
 )
+from dephcap.dephasing_exact import solve_dephasing
 from dephcap.errors import SolverError
 from dephcap.photon_dist import scan_from_ratios
 from dephcap.scalar_math import LN2, thermal_entropy_g
