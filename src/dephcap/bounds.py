@@ -93,7 +93,8 @@ def _entropy_wide(m, energy):
                   _WIDE_SPAN[1] * _NODES_PER_SIGMA + 1) / _NODES_PER_SIGMA
     edges = np.array([np.ceil(mean + _WIDE_SPAN[0] * sigma),
                       np.floor(mean + _WIDE_SPAN[1] * sigma)])
-    log_p = _log_nb_pmf(m, energy, np.concatenate((z * sigma, edges - mean)))
+    (lo, hi), (off_lo, off_hi) = edges, edges - mean
+    log_p = _log_nb_pmf(m, energy, np.concatenate((z * sigma, (off_lo, off_hi))))
     p = np.exp(log_p[:-2])
     h = sigma / _NODES_PER_SIGMA
     total = h * float(p.sum())
@@ -101,10 +102,15 @@ def _entropy_wide(m, energy):
         raise SolverError(f"negative-binomial trapezoid mass {total} misses 1")
     ratio = _negative_binomial_ratio(m, energy)
     p_lo, p_hi = np.exp(log_p[-2:]) / total
-    _, short = certify_edges(p_lo, 1.0 / ratio(edges[0] - 1.0), p_hi, ratio(edges[1]))
+    # 1 - ratio from each edge's offset to mE, which keeps its digits where
+    # the ratio rounds to 1 (E >~ 1e13 at m = 1e7) and overflows no earlier
+    # than sigma^2
+    gaps = ((-off_lo - energy) / energy / (lo - 1.0 + m),
+            (off_hi + energy + 1.0) / (energy + 1.0) / (hi + 1.0))
+    _, short = certify_edges(p_lo, 1.0 / ratio(lo - 1.0), p_hi, ratio(hi), gaps)
     if any(short):
-        raise SolverError(f"negative-binomial tails beyond [{edges[0]:.17g}, "
-                          f"{edges[1]:.17g}] are not certified")
+        raise SolverError(f"negative-binomial tails beyond [{lo:.17g}, "
+                          f"{hi:.17g}] are not certified")
     first, second = float(z @ p) * h / total, float((z * z) @ p) * h / total
     return ((math.log(total) - h * float(p @ log_p[:-2]) / total) / LN2,
             mean + sigma * first, sigma * sigma * (second - first * first))

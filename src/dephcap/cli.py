@@ -147,6 +147,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
         if grid:
             raise ValueError("this command takes a single mode count, not a grid")
         sol = dephasing_exact.solve_dephasing(m, energy)  # refuses m > MAX_MODES
+        dist, mean = sol.law()  # the optimal law's one reader
         report = {
             "channel": {"kind": "pure-dephasing", "modes": sol.m, "energy": energy},
             "ea_total": sol.capacity,
@@ -155,9 +156,9 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
-                "mean_achieved": sol.mean_achieved,  # the optimal law's one reader
-                "support": sol.dist.cutoff,
-                "tail_bound": sol.dist.tail_bound,
+                "mean_achieved": mean,
+                "support": dist.cutoff,
+                "tail_bound": dist.tail_bound,
             },
         }
     else:

@@ -8,7 +8,6 @@ C(n+m-1, m-1)^2 lambda^n, with lambda fixed by the mean constraint
 sum_n n P(n) = m E, and with each n-photon shell populated uniformly.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ _MAX_ITER = 100
 
 
 def solve_lambda(m, energy):
-    """Weight parameter lambda of the optimal total-photon-number law.
+    """(lambda, ln S0(lambda)) of the optimal total-photon-number law.
 
     The mean of the law P(n) ~ C(n+m-1, m-1)^2 lambda^n is strictly
     increasing in lambda, with derivative d(mean)/d(ln lambda) = variance,
@@ -35,20 +34,13 @@ def solve_lambda(m, energy):
     variance.  The mean is at least (2m-1) lambda/(1-lambda), so the root
     lies in the bracket (0, T/(T+2m-1)] for target mean T = m E; every
     evaluation narrows the bracket, and a Newton step that leaves it is
-    replaced by bisection.  Verified to reproduce the target mean to 1e-10
-    relative.
+    replaced by bisection.  One series serves every step, and ln S0 is the
+    last step's, at the lambda returned.  Verified to reproduce the target
+    mean to 1e-10 relative.
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
-        return 0.0
-    return _solve_lambda(m, energy)[0]
-
-
-def _solve_lambda(m, energy):
-    """(lambda, ln S0(lambda)) for a checked (m, E > 0).
-
-    One series serves every Newton step; ln S0 is the last step's, at lambda.
-    """
+        return 0.0, 0.0
     target = m * energy
     lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
     if hi == 1.0:  # no float is left between the root and the series' pole
@@ -93,7 +85,7 @@ def _solve_lambda(m, energy):
 def optimal_total_distribution(m, lam):
     """Capacity-achieving distribution of the total photon number over a block.
 
-    ``lam`` is the weight parameter from solve_lambda.  Built from the exact
+    ``lam`` is the weight parameter lambda of solve_lambda.  Built from the exact
     term ratio ((n+m)/(n+1))^2 lambda over a window certified to omit less
     than 1e-12 of the mass (and below 1e-11 bits of entropy) on both sides;
     see photon_dist.build_from_ratios.
@@ -113,24 +105,14 @@ class DephasingSolution:
     lambda1: float
     capacity: float          # bits per m-mode block
 
-    @functools.cached_property
-    def _law(self):
-        """The optimal law and its mean, built on first access; the mean must be m E to 1e-9."""
+    def law(self):
+        """(optimal law, its mean), built on each call; the mean must be m E to 1e-9."""
         dist = optimal_total_distribution(self.m, self.lambda1)
         target = self.m * self.energy
         mean = dist.mean()
         if abs(mean - target) > 1e-9 * target:
             raise ContractViolation(f"optimal distribution mean {mean} misses m E = {target}")
         return dist, mean
-
-    @property
-    def dist(self):
-        return self._law[0]
-
-    @property
-    def mean_achieved(self):
-        """The optimal law's mean, as its check computed it."""
-        return self._law[1]
 
     @property
     def capacity_per_mode(self):
@@ -158,7 +140,7 @@ def solve_dephasing(m, energy):
     if energy == 0.0:
         return DephasingSolution(m, 0.0, 0.0, 0.0)
 
-    lam, log_s0 = _solve_lambda(m, energy)
+    lam, log_s0 = solve_lambda(m, energy)
     capacity = (log_s0 - m * energy * math.log(lam)) / LN2
     base = m * thermal_entropy_g(energy)
     if not base - 1e-9 <= capacity <= 2.0 * base + 1e-9:

@@ -160,16 +160,17 @@ def scan_from_ratios(ratio):
     return _certified_window(ratio, measure)[2]
 
 
-def certify_edges(p_lo, left, p_hi, right):
+def certify_edges(p_lo, left, p_hi, right, gaps=(None, None)):
     """(tail certificates, [left short, right short]) beyond a window's edges.
 
     ``p_lo`` and ``p_hi`` are the edge terms, ``left`` = P(lo-1)/P(lo) (None
-    where the window starts at n = 0) and ``right`` = P(hi+1)/P(hi).  A side
-    falls short while its bound exceeds half of the 1e-12 of mass or half of
-    the 1e-11 bits.
+    where the window starts at n = 0) and ``right`` = P(hi+1)/P(hi); ``gaps``
+    may give each side's 1 - ratio, formed where the ratio rounds to 1.  A
+    side falls short while its bound exceeds half of the 1e-12 of mass or
+    half of the 1e-11 bits.
     """
-    certs = (_geometric_tail(p_lo, left) if left is not None else _TailCertificate(),
-             _geometric_tail(p_hi, right))
+    certs = (_geometric_tail(p_lo, left, gaps[0]) if left is not None else _TailCertificate(),
+             _geometric_tail(p_hi, right, gaps[1]))
     return certs, [c is None or c.mass > 0.5 * _TAIL_MASS
                    or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
 
@@ -180,21 +181,28 @@ class _TailCertificate:
     entropy: float = 0.0  # bits
 
 
-def _geometric_tail(p, ratio):
+def _geometric_tail(p, ratio, gap=None):
     """Certified bounds on the mass and entropy beyond an edge term ``p``.
 
     With the terms beyond the edge bounded by p r^k, k = 1, 2, ..., for a
     ratio r < 1, the tail mass is at most p r/(1-r) and its entropy at most
     [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p, both evaluated here in bits.
-    Returns None while r >= 1 (the edge has not passed the mode).
+    ``gap`` is 1 - r where the caller forms it without rounding r, and then
+    ln r = log1p(-gap).  Returns None while r >= 1 (the edge has not passed
+    the mode).
     """
-    if not ratio < 1.0:
+    if not (ratio < 1.0 if gap is None else gap > 0.0):
         return None
     if p < 1e-304:
         # also covers an edge term that underflowed to 0, where ln(p) fails;
-        # r/(1-r) < 1e16 keeps such a tail below 1e-288
+        # r/(1-r) is below 1e16 where 1 - r is computed, and below about
+        # sigma < 1.4e154 at a wide law's edges: such a tail is below 1e-150
         return _TailCertificate()
-    geo = ratio / (1.0 - ratio)
+    if gap is None:
+        gap, log_ratio = 1.0 - ratio, math.log(ratio)
+    else:
+        log_ratio = math.log1p(-gap)
+    geo = ratio / gap
     mass = p * geo
-    entropy = p * (max(-math.log(p), 0.0) * geo - math.log(ratio) * geo / (1.0 - ratio))
+    entropy = p * (max(-math.log(p), 0.0) * geo - log_ratio * geo / gap)
     return _TailCertificate(mass, entropy / LN2)

@@ -152,7 +152,7 @@ def test_criterion_8_structural_invariants(crosschecks):
     dists = [
         thermal_total_photon_dist(1e5, 0.001),
         thermal_total_photon_dist(1e7, 0.001),
-        solve_dephasing(3, 1.0).dist,
+        solve_dephasing(3, 1.0).law()[0],
     ]
     mass_ok = all(
         d.probs.sum() <= 1.0 + 1e-10

@@ -64,6 +64,13 @@ ENTROPY_WIDE_REFS = {
     (1e6, 10.0): 15.40355924461363778133064,
     (1e7, 1.0): 14.17384386318534273213876,
 }
+# the same trapezoid at laws whose edge term ratios round to 1, with mp.mp.dps
+# raised to 70 at E = 1e14 and 150 at E = 1e100, so that 40 digits survive
+# the difference of two log-gammas near mE ln(mE) (mass 1 to 1e-44)
+ENTROPY_HUGE_E_REFS = {
+    (1e7, 1e14): 60.18083719761965350536273,
+    (1e3, 1e100): 339.2223161976603517903568,
+}
 # H(NB(18, 1)) at 40 digits, by direct summation over n < 2000
 ENTROPY_M18_E1 = 4.6011350428202001866
 ENTROPY_ASYM_1E5 = 5.369744667154956690786
@@ -188,6 +195,14 @@ class TestWideRoute:
         assert _is_wide(m, energy)
         assert entropy_total_exact(m, energy) == pytest.approx(
             ENTROPY_WIDE_REFS[m, energy], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m, energy", sorted(ENTROPY_HUGE_E_REFS))
+    def test_tails_certified_where_the_edge_ratio_rounds_to_1(self, m, energy):
+        sigma = math.sqrt(m * energy * (energy + 1.0))
+        edge = math.floor(m * energy + 16.0 * sigma)
+        assert bounds._negative_binomial_ratio(m, energy)(edge) == 1.0
+        assert entropy_total_exact(m, energy) == pytest.approx(
+            ENTROPY_HUGE_E_REFS[m, energy], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e7, 1.0), (1e7, 1e-3)])
     def test_wide_law_runs_no_scan(self, m, energy, scan_calls):

@@ -346,6 +346,25 @@ class TestOptimalLawBuilds:
         capsys.readouterr()
 
 
+class TestSolveLayer:
+    """Each solve crosses the module-level solve_lambda, where a tracer wraps it."""
+
+    @pytest.mark.parametrize("argv, n_solves", [
+        ("fig2 -E 1 --m-max 20", 20),
+        ("capacity --pure-dephasing -m 20 -E 1", 1),
+    ])
+    def test_solves_per_command(self, argv, n_solves, monkeypatch, capsys):
+        solved = []
+
+        def counted(m, energy, solve=dephasing_exact.solve_lambda):
+            solved.append(m)
+            return solve(m, energy)
+        monkeypatch.setattr(dephasing_exact, "solve_lambda", counted)
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+        assert len(solved) == n_solves
+
+
 class TestNumericalFailures:
     def test_out_of_memory_exits_two_with_one_line(self, capsys, monkeypatch):
         def exhausted(m, energy):
@@ -432,6 +451,17 @@ class TestLargeEnergies:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("energy, m", [("1e14", "1e7"), ("1e100", "1e7"),
+                                           ("1e100", "1e3")])
+    def test_wide_law_tails_certified_where_the_ratio_rounds_to_1(self, capsys, energy, m):
+        # the term ratio at the trapezoid's right edge rounds to 1, so each
+        # tail's gap 1 - ratio is formed from the edge's offset to mE
+        rc = cli.main(["bounds", "-k", "0.8", "-E", energy, "-m", m])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert len(captured.out.strip().splitlines()) == 2
 
     def test_bounds_at_large_energy(self, capsys):
         # A+ = 0 exactly here; formed as a difference of two numbers near 1e4

@@ -29,18 +29,24 @@ LAMBDA_M2_E1 = (math.sqrt(3.0) - 1.0) / 2.0
 class TestSolveLambda:
     def test_single_mode_unit_energy(self):
         # m=1 makes the law plain geometric with mean lam/(1-lam).
-        assert solve_lambda(1, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert solve_lambda(1, 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_energy(self):
-        assert solve_lambda(3, 0.0) == 0.0
+        # the law is the vacuum, whose normalizer S0(0) is 1
+        assert solve_lambda(3, 0.0) == (0.0, 0.0)
 
     def test_two_modes_unit_energy(self):
-        assert solve_lambda(2, 1.0) == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
+        assert solve_lambda(2, 1.0)[0] == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
 
     @pytest.mark.parametrize("m, energy", [(1, 0.3), (2, 1.0), (5, 0.1), (20, 1.0)])
     def test_solved_weight_reproduces_the_mean(self, m, energy):
-        dist = optimal_total_distribution(m, solve_lambda(m, energy))
+        dist = optimal_total_distribution(m, solve_lambda(m, energy)[0])
         assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
+
+    @pytest.mark.parametrize("m, energy", [(1, 1.0), (2, 1.0), (20, 0.3), (3000, 10.0)])
+    def test_returns_the_normalizer_at_the_solved_lambda(self, m, energy):
+        lam, log_s0 = solve_lambda(m, energy)
+        assert log_s0 == squared_binomial_law(m, lam)[0]
 
     @pytest.mark.parametrize("m", [0, -2, 1.5])
     def test_bad_mode_count_rejected(self, m):
@@ -56,7 +62,7 @@ class TestOptimalTotalDistribution:
     def test_single_mode_is_geometric(self):
         # The solved lambda carries the 1e-14 bisection tolerance, which the
         # power law amplifies by n; compare at a matching tolerance.
-        dist = optimal_total_distribution(1, solve_lambda(1, 1.0))
+        dist = optimal_total_distribution(1, solve_lambda(1, 1.0)[0])
         n = np.arange(40)
         np.testing.assert_allclose(dist.probs[:40], 0.5 ** (n + 1), rtol=1e-11)
 
@@ -66,13 +72,13 @@ class TestOptimalTotalDistribution:
         assert dist.tail_bound == 0.0
 
     def test_tail_certification(self):
-        dist = optimal_total_distribution(2, solve_lambda(2, 1.0))
+        dist = optimal_total_distribution(2, solve_lambda(2, 1.0)[0])
         assert dist.tail_bound <= 1e-12
         assert dist.probs.sum() <= 1.0 + 1e-12
         assert dist.probs.sum() + dist.tail_bound >= 1.0 - 1e-12
 
     def test_entries_match_the_analytic_law(self):
-        lam = solve_lambda(2, 1.0)
+        lam = solve_lambda(2, 1.0)[0]
         dist = optimal_total_distribution(2, lam)
         log_norm = squared_binomial_law(2, lam)[0]
         n = np.arange(30)
@@ -91,7 +97,7 @@ class TestSolveDephasing:
         sol = solve_dephasing(2, 1.0)
         assert sol.capacity == pytest.approx(CAPACITY_M2_E1, rel=1e-10)
         assert sol.lambda1 == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
-        assert sol.dist.mean() == pytest.approx(2.0, rel=1e-9)
+        assert sol.law()[0].mean() == pytest.approx(2.0, rel=1e-9)
 
     def test_twenty_modes_approach_the_doubling_ceiling(self):
         sol = solve_dephasing(20, 1.0)
@@ -112,19 +118,19 @@ class TestSolveDephasing:
         sol = solve_dephasing(3, 0.5)
         assert isinstance(sol, DephasingSolution)
         assert sol.capacity_per_mode == pytest.approx(sol.capacity / 3.0, rel=1e-15)
-        assert sol.dist.mean() == pytest.approx(1.5, rel=1e-9)
+        assert sol.law()[0].mean() == pytest.approx(1.5, rel=1e-9)
 
     def test_zero_energy_yields_the_silent_solution(self):
         sol = solve_dephasing(2, 0.0)
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
-        assert sol.dist.probs[0] == 1.0
+        assert sol.law()[0].probs[0] == 1.0
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
 
-    def test_law_is_built_once_on_first_access(self, monkeypatch):
+    def test_solve_builds_no_law_and_each_law_call_builds_one(self, monkeypatch):
         built = []
 
         def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
@@ -133,8 +139,11 @@ class TestSolveDephasing:
         monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
         sol = solve_dephasing(20, 1.0)
         assert built == []
-        assert sol.dist is sol.dist
-        assert built == [20]
+        (first, mean), (second, _) = sol.law(), sol.law()
+        assert built == [20, 20]
+        assert first is not second
+        assert np.array_equal(first.probs, second.probs)
+        assert mean == first.mean()
 
     def test_solve_needs_no_window_of_the_law(self):
         # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
@@ -159,12 +168,13 @@ class TestSolveDephasing:
 def test_every_point_solves_inside_its_sandwich(m, log_energy):
     energy = 10.0 ** log_energy
     sol = solve_dephasing(m, energy)
-    assert sol.dist.mean() == pytest.approx(m * energy, rel=1e-9)
+    dist, mean = sol.law()
+    assert mean == pytest.approx(m * energy, rel=1e-9)
     g = thermal_entropy_g(energy)
     assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
-    assert sol.dist.tail_bound <= 1e-12
+    assert dist.tail_bound <= 1e-12
     sd = math.sqrt(squared_binomial_law(m, sol.lambda1)[2])
-    assert sol.dist.probs.size <= 100.0 * (sd + 1.0)
+    assert dist.probs.size <= 100.0 * (sd + 1.0)
 
 
 def _visited(m, energy):
@@ -229,7 +239,7 @@ class TestOptimalJointWeight:
 
     @pytest.mark.parametrize("k", range(0, 21, 4))
     def test_shell_sum_reproduces_the_total_law(self, k):
-        lam = solve_lambda(3, 0.7)
+        lam = solve_lambda(3, 0.7)[0]
         dist = optimal_total_distribution(3, lam)
         shell = math.comb(k + 2, 2) * _optimal_joint_weights(3, lam, [(k, 0, 0)])[0]
         assert shell == pytest.approx(dist.probs[k], rel=1e-12)
