@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import build_from_ratios, certify_edges, point_mass, scan_from_ratios
+from .photon_dist import _geometric_tail, build_from_ratios, scan_from_ratios
 from .scalar_math import LN2
 from .special_math import bd0, check_block, stirling_remainder
 
@@ -50,8 +50,6 @@ def thermal_total_photon_dist(m, energy):
     # real-valued m >= 1 is accepted so log-spaced mode grids stay exact;
     # the negative-binomial law is well defined for any positive shape
     m, energy = check_block(m, energy, integer=False)
-    if energy == 0.0:
-        return point_mass()
     dist = build_from_ratios(_negative_binomial_ratio(m, energy))
     _check_moments(dist.mean(), dist.variance(), m, energy)
     return dist
@@ -107,8 +105,8 @@ def _entropy_wide(m, energy):
     # than sigma^2
     gaps = ((-off_lo - energy) / energy / (lo - 1.0 + m),
             (off_hi + energy + 1.0) / (energy + 1.0) / (hi + 1.0))
-    _, short = certify_edges(p_lo, 1.0 / ratio(lo - 1.0), p_hi, ratio(hi), gaps)
-    if any(short):
+    if (_geometric_tail(p_lo, 1.0 / ratio(lo - 1.0), gaps[0]) is None
+            or _geometric_tail(p_hi, ratio(hi), gaps[1]) is None):
         raise SolverError(f"negative-binomial tails beyond [{lo:.17g}, "
                           f"{hi:.17g}] are not certified")
     first, second = float(z @ p) * h / total, float((z * z) @ p) * h / total
@@ -123,13 +121,12 @@ def entropy_total_exact(m, energy):
     is streamed over thermal_total_photon_dist's window in O(chunk) memory.
     """
     m, energy = check_block(m, energy, integer=False)
-    if energy == 0.0:
-        return 0.0
     sigma = math.sqrt(m * energy * (energy + 1.0))
     if m * energy + _WIDE_SPAN[0] * sigma >= 30.0:
         entropy, mean, variance = _entropy_wide(m, energy)
     else:
-        entropy, mean, variance = scan_from_ratios(_negative_binomial_ratio(m, energy))
+        window = scan_from_ratios(_negative_binomial_ratio(m, energy))
+        entropy, mean, variance = window.entropy, window.mean, window.variance
     _check_moments(mean, variance, m, energy)
     return entropy
 

@@ -147,7 +147,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
         if grid:
             raise ValueError("this command takes a single mode count, not a grid")
         sol = dephasing_exact.solve_dephasing(m, energy)  # refuses m > MAX_MODES
-        dist, mean = sol.law()  # the optimal law's one reader
+        window = sol.window()  # one walk of the optimal law, none of it stored
         report = {
             "channel": {"kind": "pure-dephasing", "modes": sol.m, "energy": energy},
             "ea_total": sol.capacity,
@@ -156,9 +156,9 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
-                "mean_achieved": mean,
-                "support": dist.cutoff,
-                "tail_bound": dist.tail_bound,
+                "mean_achieved": window.mean,
+                "support": window.cutoff,
+                "tail_bound": window.tail_bound,
             },
         }
     else:

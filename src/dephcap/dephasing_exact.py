@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import build_from_ratios, point_mass
+from .photon_dist import build_from_ratios, scan_from_ratios
 from .scalar_math import LN2, thermal_entropy_g
-from .special_math import SquaredBinomialSeries, check_block
+from .special_math import SquaredBinomialSeries, check_block, check_weight
 
 # perfbench/spans.py traces these two layers under their former names: the
 # series' evaluations at one lambda each, and the law's builder
@@ -82,18 +82,20 @@ def solve_lambda(m, energy):
     return lam, log_s0
 
 
+def _optimal_ratio(m, lam):
+    """Exact term ratio ((n+m)/(n+1))^2 lambda of the optimal law."""
+    return lambda n: ((n + m) / (n + 1.0)) ** 2 * lam
+
+
 def optimal_total_distribution(m, lam):
     """Capacity-achieving distribution of the total photon number over a block.
 
-    ``lam`` is the weight parameter lambda of solve_lambda.  Built from the exact
-    term ratio ((n+m)/(n+1))^2 lambda over a window certified to omit less
-    than 1e-12 of the mass (and below 1e-11 bits of entropy) on both sides;
-    see photon_dist.build_from_ratios.
+    ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  Stored
+    over a window certified to omit less than 1e-12 of the mass (and below
+    1e-11 bits of entropy) on both sides; see photon_dist.build_from_ratios.
     """
-    if lam == 0.0:
-        return point_mass()
-    m = int(m)
-    return build_from_log_pmf(lambda n: ((n + m) / (n + 1.0)) ** 2 * lam)
+    m, _ = check_block(m, 0.0)
+    return build_from_log_pmf(_optimal_ratio(m, check_weight(lam)))
 
 
 @dataclass
@@ -105,14 +107,14 @@ class DephasingSolution:
     lambda1: float
     capacity: float          # bits per m-mode block
 
-    def law(self):
-        """(optimal law, its mean), built on each call; the mean must be m E to 1e-9."""
-        dist = optimal_total_distribution(self.m, self.lambda1)
+    def window(self):
+        """Certified window of the optimal law, walked per call; its mean must be m E to 1e-9."""
+        window = scan_from_ratios(_optimal_ratio(self.m, self.lambda1))
         target = self.m * self.energy
-        mean = dist.mean()
-        if abs(mean - target) > 1e-9 * target:
-            raise ContractViolation(f"optimal distribution mean {mean} misses m E = {target}")
-        return dist, mean
+        if abs(window.mean - target) > 1e-9 * target:
+            raise ContractViolation(
+                f"optimal distribution mean {window.mean} misses m E = {target}")
+        return window
 
     @property
     def capacity_per_mode(self):

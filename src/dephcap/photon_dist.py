@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,7 +14,7 @@ _MASS_SLACK = 1e-12
 # certified bounds on what a window leaves out, summed over both sides
 _TAIL_MASS = 1e-12
 _TAIL_ENTROPY_BITS = 1e-11
-# longest window built (80 MB of float64) before certification gives up
+# longest window walked (80 MB once built) before certification gives up
 _MAX_WINDOW = 10_000_000
 _CHUNK = 4096  # terms multiplied and summed per step of scan_from_ratios
 
@@ -59,11 +60,6 @@ class PhotonDistribution:
         return float(((i - mu) ** 2) @ self.probs)
 
 
-def point_mass():
-    """The vacuum distribution (all mass at n = 0)."""
-    return PhotonDistribution(np.array([1.0]), 0.0)
-
-
 def _mode(ratio):
     """First n >= 0 with ratio(n) < 1, for a nonincreasing ratio that ends below 1."""
     lo, hi = -1, 1
@@ -80,17 +76,39 @@ def _mode(ratio):
     return hi
 
 
-def _certified_window(ratio, measure):
-    """(lo, tail mass bound, result) of the certified window of a ratio law.
+class Window(NamedTuple):
+    """The certified window n = offset..cutoff of a ratio law, and its moments.
 
-    ``measure(lo, hi, mode)`` returns (P(lo), P(hi), result) of the terms
-    n = lo..hi anchored at the mode.  The window first reaches 12 widths (at
-    least 64 terms) to each side of the mode, or from n = 0 when the left gap
-    is no wider than the window.  Each tail is bounded by a geometric series
-    (ratio 1/ratio(lo-1) left, ratio(hi) right) below 1e-12 of mass and
-    1e-11 bits in total; a short side doubles its reach, up to 1e7 terms.
+    ``tail_bound`` bounds the mass outside the window, ``mode`` is the term
+    the walk anchors at, and the entropy (in bits), mean and variance are
+    taken over the window.
+    """
+
+    offset: int
+    cutoff: int
+    mode: int
+    tail_bound: float
+    entropy: float
+    mean: float
+    variance: float
+
+
+def scan_from_ratios(ratio):
+    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
+
+    ``ratio`` maps photon numbers (ndarray or int) to the exact ratios,
+    positive, nonincreasing and ending below 1; a ratio that is 0 at n = 0
+    is the vacuum.  The window first reaches 12 widths (at least 64 terms)
+    to each side of the mode, or from n = 0 when the left gap is no wider
+    than the window; a side that _geometric_tail finds short doubles its
+    reach, up to 1e7 terms.  Each walk multiplies and sums the terms x_n
+    (x = 1 at the mode) _CHUNK at a time, so no window is stored.
+    H = ln S - sum x ln x / S with S = 1 + sum_{n != mode} x_n adds two
+    nonnegative terms and rounds no mass near 1 to 1.
     """
     mode = _mode(ratio)
+    if ratio(mode) == 0.0:
+        return Window(0, 0, 0, 0.0, 0.0, 0.0, 0.0)
     # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
     # per step, and a geometric tail decays at rate -ln ratio(mode)
     fall = math.log(ratio(mode) / ratio(mode + 1))
@@ -104,39 +122,6 @@ def _certified_window(ratio, measure):
         if hi - lo + 1 > _MAX_WINDOW:
             raise SolverError(
                 f"tail certification still open at a window of {_MAX_WINDOW} terms")
-        p_lo, p_hi, result = measure(lo, hi, mode)
-        certs, short = certify_edges(p_lo, 1.0 / ratio(lo - 1) if lo > 0 else None,
-                                     p_hi, ratio(hi))
-        if not any(short):
-            return lo, certs[0].mass + certs[1].mass, result
-        left, right = (2 * left if short[0] else left,
-                       2 * right if short[1] else right)
-
-
-def build_from_ratios(ratio):
-    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
-
-    ``ratio`` maps photon numbers (ndarray or int) to the exact ratios,
-    positive, nonincreasing and ending below 1; their products anchored at
-    the mode are renormalized over the window of _certified_window.
-    """
-    def measure(lo, hi, mode):
-        x = anchored_products(ratio(np.arange(lo, hi, dtype=float)), mode - lo)
-        probs = x / x.sum()
-        return probs[0], probs[-1], probs
-
-    lo, tail, probs = _certified_window(ratio, measure)
-    return PhotonDistribution(probs, tail, lo)
-
-
-def scan_from_ratios(ratio):
-    """(entropy in bits, mean, variance) over build_from_ratios' window.
-
-    Its terms x_n (x = 1 at the mode) are multiplied and summed _CHUNK at a
-    time.  H = ln S - sum x ln x / S with S = 1 + sum_{n != mode} x_n adds two
-    nonnegative terms and rounds no mass near 1 to 1.
-    """
-    def measure(lo, hi, mode):
         # sums over n != mode of x, x ln x, (n-mode) x, (n-mode)^2 x; edge terms
         sums, edges = np.zeros(4), []
         for sign, reach in ((-1, mode - lo), (1, hi - mode)):
@@ -152,44 +137,38 @@ def scan_from_ratios(ratio):
             edges.append(x_end)
         rest, xlnx, first, second = map(float, sums)
         total = 1.0 + rest
-        shift = first / total
-        return edges[0] / total, edges[1] / total, (
-            (math.log1p(rest) - xlnx / total) / LN2,
-            mode + shift, second / total - shift * shift)
+        tails = (_geometric_tail(edges[0] / total, 1.0 / ratio(lo - 1)) if lo > 0 else 0.0,
+                 _geometric_tail(edges[1] / total, ratio(hi)))
+        if None not in tails:
+            shift = first / total
+            return Window(lo, hi, mode, tails[0] + tails[1],
+                          (math.log1p(rest) - xlnx / total) / LN2,
+                          mode + shift, second / total - shift * shift)
+        left, right = (2 * left if tails[0] is None else left,
+                       2 * right if tails[1] is None else right)
 
-    return _certified_window(ratio, measure)[2]
 
+def build_from_ratios(ratio):
+    """The law of scan_from_ratios' certified window, stored.
 
-def certify_edges(p_lo, left, p_hi, right, gaps=(None, None)):
-    """(tail certificates, [left short, right short]) beyond a window's edges.
-
-    ``p_lo`` and ``p_hi`` are the edge terms, ``left`` = P(lo-1)/P(lo) (None
-    where the window starts at n = 0) and ``right`` = P(hi+1)/P(hi); ``gaps``
-    may give each side's 1 - ratio, formed where the ratio rounds to 1.  A
-    side falls short while its bound exceeds half of the 1e-12 of mass or
-    half of the 1e-11 bits.
+    One anchored_products pass over the window, renormalized to its sum.
     """
-    certs = (_geometric_tail(p_lo, left, gaps[0]) if left is not None else _TailCertificate(),
-             _geometric_tail(p_hi, right, gaps[1]))
-    return certs, [c is None or c.mass > 0.5 * _TAIL_MASS
-                   or c.entropy > 0.5 * _TAIL_ENTROPY_BITS for c in certs]
-
-
-@dataclass
-class _TailCertificate:
-    mass: float = 0.0
-    entropy: float = 0.0  # bits
+    window = scan_from_ratios(ratio)
+    x = anchored_products(ratio(np.arange(window.offset, window.cutoff, dtype=float)),
+                          window.mode - window.offset)
+    return PhotonDistribution(x / x.sum(), window.tail_bound, window.offset)
 
 
 def _geometric_tail(p, ratio, gap=None):
-    """Certified bounds on the mass and entropy beyond an edge term ``p``.
+    """Certified mass beyond an edge term ``p``, or None while that side is short.
 
     With the terms beyond the edge bounded by p r^k, k = 1, 2, ..., for a
     ratio r < 1, the tail mass is at most p r/(1-r) and its entropy at most
-    [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p, both evaluated here in bits.
-    ``gap`` is 1 - r where the caller forms it without rounding r, and then
-    ln r = log1p(-gap).  Returns None while r >= 1 (the edge has not passed
-    the mode).
+    [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p.  ``gap`` is 1 - r where the caller
+    forms it without rounding r, and then ln r = log1p(-gap).  A side is
+    short while r >= 1 (the edge has not passed the mode), or while its mass
+    exceeds half of the 1e-12 or its entropy half of the 1e-11 bits that a
+    window may omit.
     """
     if not (ratio < 1.0 if gap is None else gap > 0.0):
         return None
@@ -197,12 +176,14 @@ def _geometric_tail(p, ratio, gap=None):
         # also covers an edge term that underflowed to 0, where ln(p) fails;
         # r/(1-r) is below 1e16 where 1 - r is computed, and below about
         # sigma < 1.4e154 at a wide law's edges: such a tail is below 1e-150
-        return _TailCertificate()
+        return 0.0
     if gap is None:
         gap, log_ratio = 1.0 - ratio, math.log(ratio)
     else:
         log_ratio = math.log1p(-gap)
     geo = ratio / gap
     mass = p * geo
-    entropy = p * (max(-math.log(p), 0.0) * geo - log_ratio * geo / gap)
-    return _TailCertificate(mass, entropy / LN2)
+    entropy = p * (max(-math.log(p), 0.0) * geo - log_ratio * geo / gap) / LN2
+    if mass > 0.5 * _TAIL_MASS or entropy > 0.5 * _TAIL_ENTROPY_BITS:
+        return None
+    return mass

@@ -111,6 +111,13 @@ def check_block(m, energy, integer=True):
     return m, check_photons(energy)
 
 
+def check_weight(z):
+    """``z`` if it lies in [0, 1), where the law C(n+m-1, m-1)^2 z^n sums."""
+    if not 0.0 <= z < 1.0:
+        raise ValueError(f"series argument must lie in [0, 1), got {z}")
+    return z
+
+
 def anchored_products(ratios, anchor):
     """Terms x_0..x_N with x[anchor] = 1 and x[j+1] = x[j] * ratios[j].
 
@@ -153,9 +160,7 @@ class SquaredBinomialSeries:
 
     def at(self, z):
         """ln S0(z), mean and variance of the law at z."""
-        if not 0.0 <= z < 1.0:
-            raise ValueError(f"series argument must lie in [0, 1), got {z}")
-        if z == 0.0:
+        if check_weight(z) == 0.0:
             return 0.0, 0.0, 0.0
         m = self.m
         ratios = self.bases * z

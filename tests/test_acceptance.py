@@ -12,7 +12,7 @@ import pytest
 
 from dephcap import cli, verification
 from dephcap.bounds import thermal_total_photon_dist
-from dephcap.dephasing_exact import solve_dephasing
+from dephcap.dephasing_exact import optimal_total_distribution, solve_dephasing
 from dephcap.phase_encoding import fock_diagonal, holevo_phase_encoding
 from dephcap.scalar_math import thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
@@ -152,7 +152,7 @@ def test_criterion_8_structural_invariants(crosschecks):
     dists = [
         thermal_total_photon_dist(1e5, 0.001),
         thermal_total_photon_dist(1e7, 0.001),
-        solve_dephasing(3, 1.0).law()[0],
+        optimal_total_distribution(3, solve_dephasing(3, 1.0).lambda1),
     ]
     mass_ok = all(
         d.probs.sum() <= 1.0 + 1e-10

@@ -1,6 +1,5 @@
 """End-to-end checks of the command line interface via its entry function."""
 
-import dataclasses
 import json
 import math
 import os
@@ -19,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import bounds, cli, dephasing_exact, phase_encoding, special_math, verification
-from dephcap.photon_dist import PhotonDistribution
 from dephcap.verification import CheckResult
 
 
@@ -111,18 +109,20 @@ class TestCapacityCommand:
         rep = json.loads(capsys.readouterr().out)
         assert 1.86 <= rep["ratio"] <= 1.94
 
-    def test_pure_dephasing_reads_the_law_mean_once(self, monkeypatch, capsys):
-        # the law's check computes its mean and the report prints that one
-        means = []
+    def test_pure_dephasing_prints_one_walk_of_the_law(self, monkeypatch, capsys):
+        # the mean rail and the report read the same walk of the optimal law
+        windows = []
 
-        def counted(dist, mean=PhotonDistribution.mean):
-            means.append(mean(dist))
-            return means[-1]
-        monkeypatch.setattr(PhotonDistribution, "mean", counted)
+        def walked(ratio, scan=dephasing_exact.scan_from_ratios):
+            windows.append(scan(ratio))
+            return windows[-1]
+        monkeypatch.setattr(dephasing_exact, "scan_from_ratios", walked)
         assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert len(means) == 1
-        assert rep["intermediates"]["mean_achieved"] == pytest.approx(means[0], rel=1e-11)
+        inter = json.loads(capsys.readouterr().out)["intermediates"]
+        [window] = windows
+        assert inter["support"] == window.cutoff
+        assert inter["mean_achieved"] == pytest.approx(window.mean, rel=1e-11)
+        assert inter["tail_bound"] == pytest.approx(window.tail_bound, rel=1e-11)
 
     def test_thermal_loss_identity_channel(self, capsys):
         rc = cli.main(["capacity", "--thermal-loss", "-k", "1", "--nb", "0",
@@ -312,14 +312,11 @@ class TestPreviouslyFailingPoints:
 
 
 class TestOptimalLawBuilds:
-    """The solve is closed form: only the law's one reader, capacity, builds it."""
+    """The solve is closed form, and capacity walks the law without storing it."""
 
-    @pytest.mark.parametrize("argv, n_laws", [
-        ("fig2 -E 1 --m-max 20", 0),
-        ("verify", 0),
-        ("capacity --pure-dephasing -m 20 -E 1", 1),
-    ])
-    def test_laws_built_per_command(self, argv, n_laws, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        "fig2 -E 1 --m-max 20", "verify", "capacity --pure-dephasing -m 20 -E 1"])
+    def test_no_command_builds_the_law(self, argv, monkeypatch, capsys):
         built = []
 
         def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
@@ -328,13 +325,25 @@ class TestOptimalLawBuilds:
         monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
         assert cli.main(argv.split()) == 0
         assert capsys.readouterr().err == ""
-        assert len(built) == n_laws
+        assert built == []
 
-    def test_window_mean_rail_guards_the_printed_law(self, monkeypatch, capsys):
-        def shifted(m, lam, build=dephasing_exact.optimal_total_distribution):
-            dist = build(m, lam)
-            return dataclasses.replace(dist, offset=dist.offset + 1)
-        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", shifted)
+    def test_wide_window_is_walked_in_little_memory(self, capsys):
+        # the window at E = 1e5 spans 4.8e6 terms, 38 MB as one float64 array
+        tracemalloc.start()
+        try:
+            rc = cli.main(["capacity", "--pure-dephasing", "-m", "1", "-E", "1e5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["intermediates"]["support"] > 4_000_000
+        assert peak < 5_000_000
+
+    def test_window_mean_rail_guards_the_printed_window(self, monkeypatch, capsys):
+        def shifted(ratio, scan=dephasing_exact.scan_from_ratios):
+            window = scan(ratio)
+            return window._replace(mean=window.mean + 1.0)
+        monkeypatch.setattr(dephasing_exact, "scan_from_ratios", shifted)
         assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

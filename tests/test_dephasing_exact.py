@@ -85,6 +85,16 @@ class TestOptimalTotalDistribution:
         want = np.exp(2.0 * np.log(n + 1.0) + n * math.log(lam) - log_norm)
         np.testing.assert_allclose(dist.probs[:30], want, rtol=1e-12)
 
+    @pytest.mark.parametrize("m, lam, message", [
+        (2.5, 0.5, "positive integer"), (0, 0.5, "positive integer"),
+        (-2, 0.5, "positive integer"), (10**8, 0.5, "exceeds the limit"),
+        (2, -0.5, r"lie in \[0, 1\)"), (2, math.nan, r"lie in \[0, 1\)"),
+        (2, 1.0, r"lie in \[0, 1\)")])
+    def test_bad_arguments_rejected(self, m, lam, message):
+        # the solve's rules: m = 2.5 is not read as m = 2
+        with pytest.raises(ValueError, match=message):
+            optimal_total_distribution(m, lam)
+
 
 class TestSolveDephasing:
     @pytest.mark.parametrize("energy", [0.1, 1.0, 10.0])
@@ -97,7 +107,8 @@ class TestSolveDephasing:
         sol = solve_dephasing(2, 1.0)
         assert sol.capacity == pytest.approx(CAPACITY_M2_E1, rel=1e-10)
         assert sol.lambda1 == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
-        assert sol.law()[0].mean() == pytest.approx(2.0, rel=1e-9)
+        assert optimal_total_distribution(sol.m, sol.lambda1).mean() == pytest.approx(
+            2.0, rel=1e-9)
 
     def test_twenty_modes_approach_the_doubling_ceiling(self):
         sol = solve_dephasing(20, 1.0)
@@ -118,19 +129,21 @@ class TestSolveDephasing:
         sol = solve_dephasing(3, 0.5)
         assert isinstance(sol, DephasingSolution)
         assert sol.capacity_per_mode == pytest.approx(sol.capacity / 3.0, rel=1e-15)
-        assert sol.law()[0].mean() == pytest.approx(1.5, rel=1e-9)
+        assert optimal_total_distribution(sol.m, sol.lambda1).mean() == pytest.approx(
+            1.5, rel=1e-9)
 
     def test_zero_energy_yields_the_silent_solution(self):
         sol = solve_dephasing(2, 0.0)
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
-        assert sol.law()[0].probs[0] == 1.0
+        assert optimal_total_distribution(sol.m, sol.lambda1).probs[0] == 1.0
+        assert sol.window() == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
 
-    def test_solve_builds_no_law_and_each_law_call_builds_one(self, monkeypatch):
+    def test_solve_and_its_window_build_no_law(self, monkeypatch):
         built = []
 
         def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
@@ -138,12 +151,12 @@ class TestSolveDephasing:
             return build(m, lam)
         monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
         sol = solve_dephasing(20, 1.0)
+        window = sol.window()
         assert built == []
-        (first, mean), (second, _) = sol.law(), sol.law()
-        assert built == [20, 20]
-        assert first is not second
-        assert np.array_equal(first.probs, second.probs)
-        assert mean == first.mean()
+        dist = optimal_total_distribution(sol.m, sol.lambda1)
+        assert (dist.offset, dist.cutoff, dist.tail_bound) == (
+            window.offset, window.cutoff, window.tail_bound)
+        assert window.mean == pytest.approx(dist.mean(), rel=1e-13)
 
     def test_solve_needs_no_window_of_the_law(self):
         # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
@@ -168,8 +181,8 @@ class TestSolveDephasing:
 def test_every_point_solves_inside_its_sandwich(m, log_energy):
     energy = 10.0 ** log_energy
     sol = solve_dephasing(m, energy)
-    dist, mean = sol.law()
-    assert mean == pytest.approx(m * energy, rel=1e-9)
+    dist = optimal_total_distribution(sol.m, sol.lambda1)
+    assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
     g = thermal_entropy_g(energy)
     assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
     assert dist.tail_bound <= 1e-12

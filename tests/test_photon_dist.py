@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from dephcap.errors import SolverError
-from dephcap.photon_dist import PhotonDistribution, build_from_ratios, scan_from_ratios
+from dephcap.photon_dist import (
+    PhotonDistribution,
+    _geometric_tail,
+    build_from_ratios,
+    scan_from_ratios,
+)
 from dephcap.special_math import shannon_entropy
 
 
@@ -63,7 +68,30 @@ def test_scan_sums_the_window_the_builder_stores(m, lam):
         return ((n + m) / (n + 1.0)) ** 2 * lam
 
     dist = build_from_ratios(ratio)
-    entropy, mean, variance = scan_from_ratios(ratio)
-    assert entropy == pytest.approx(shannon_entropy(dist), rel=1e-13, abs=0.0)
-    assert mean == pytest.approx(dist.mean(), rel=1e-13, abs=0.0)
-    assert variance == pytest.approx(dist.variance(), rel=1e-11, abs=0.0)
+    window = scan_from_ratios(ratio)
+    assert (window.offset, window.cutoff, window.tail_bound) == (
+        dist.offset, dist.cutoff, dist.tail_bound)
+    assert window.entropy == pytest.approx(shannon_entropy(dist), rel=1e-13, abs=0.0)
+    assert window.mean == pytest.approx(dist.mean(), rel=1e-13, abs=0.0)
+    assert window.variance == pytest.approx(dist.variance(), rel=1e-11, abs=0.0)
+
+
+class TestTailRule:
+    """A side is short while r >= 1 or its bound exceeds half of either budget."""
+
+    def test_entropy_budget_keeps_a_light_tail_short(self):
+        # mass 1.5e-13 is under half of 1e-12, entropy 6.75e-12 bits over half of 1e-11
+        assert _geometric_tail(1e-13, 0.6) is None
+
+    @pytest.mark.parametrize("p, ratio, gap, mass", [
+        (1e-13, 0.5, None, 1e-13),  # entropy 4.5e-12 bits
+        (1e-20, 1.0, 1e-3, 1e-17),  # a ratio that rounds to 1, with its gap
+        (0.0, 0.9, None, 0.0)])  # an edge term that underflowed
+    def test_tail_within_both_budgets_is_certified(self, p, ratio, gap, mass):
+        assert _geometric_tail(p, ratio, gap) == pytest.approx(mass, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p, ratio, gap", [
+        (1e-12, 0.5, None),  # mass over half of 1e-12
+        (1e-20, 1.0, None), (1e-20, 1.0, 0.0)])  # not past the mode
+    def test_short_side(self, p, ratio, gap):
+        assert _geometric_tail(p, ratio, gap) is None
