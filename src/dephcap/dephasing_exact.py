@@ -46,10 +46,13 @@ def solve_lambda(m, energy):
     if hi == 1.0:  # no float is left between the root and the series' pole
         raise SolverError(f"lambda bracket top rounded to 1 (m={m}, E={energy})")
     series = SquaredBinomialSeries(m)
-    # both guesses are exact at m = 1; the first is the m -> infinity limit
-    # (E/(E+1))^2, the second the E -> 0 limit, where the mean is m^2 lambda
+    # ln lambda = 2 ln q + t + O(m^-3) at large m, from the Laplace-Heine
+    # asymptote of Q (see README); elsewhere two guesses exact at m = 1: the
+    # first tends to q^2, the second is the E -> 0 limit, where mean = m^2 lambda
     q = energy / (energy + 1.0)
-    lam = min(max(q ** (2.0 - 1.0 / m), q / m), hi)
+    t = (energy + 0.5) / (energy * (energy + 1.0) * m)
+    lam = min(q * q * math.exp(t) if m > 1 and t < 1.0
+              else max(q ** (2.0 - 1.0 / m), q / m), hi)
     for _ in range(_MAX_ITER):
         log_s0, mean, var = _squared_series_logs(series, lam)
         miss = mean - target

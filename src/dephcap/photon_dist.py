@@ -102,7 +102,8 @@ def scan_from_ratios(ratio):
     to each side of the mode, or from n = 0 when the left gap is no wider
     than the window; a side that _geometric_tail finds short doubles its
     reach, up to 1e7 terms.  Each walk multiplies and sums the terms x_n
-    (x = 1 at the mode) _CHUNK at a time, so no window is stored.
+    (x = 1 at the mode) over one anchored chunk about the mode, then _CHUNK
+    at a time outward from its edges, so no window is stored.
     H = ln S - sum x ln x / S with S = 1 + sum_{n != mode} x_n adds two
     nonnegative terms and rounds no mass near 1 to 1.
     """
@@ -122,22 +123,27 @@ def scan_from_ratios(ratio):
         if hi - lo + 1 > _MAX_WINDOW:
             raise SolverError(
                 f"tail certification still open at a window of {_MAX_WINDOW} terms")
-        # sums over n != mode of x, x ln x, (n-mode) x, (n-mode)^2 x; edge terms
-        sums, edges = np.zeros(4), []
-        for sign, reach in ((-1, mode - lo), (1, hi - mode)):
-            x_end = 1.0
-            for start in range(1, reach + 1, _CHUNK):
+        # sums over n != mode of x, x ln x, (n-mode) x, (n-mode)^2 x: first
+        # over one anchored chunk of up to _CHUNK terms about the mode, then
+        # outward from its edge terms where the window is wider
+        a = max(lo, min(mode - _CHUNK // 2, hi + 1 - _CHUNK))
+        b = min(hi, a + _CHUNK - 1)
+        d = np.arange(a - mode, b - mode + 1, dtype=float)
+        x = anchored_products(ratio(mode + d[:-1]), mode - a)
+        edges = {-1: x[0], 1: x[-1]}
+        x[mode - a] = 0.0
+        sums = np.array(_chunk_sums(d, x))
+        for sign, done, reach in ((-1, mode - a, mode - lo), (1, b - mode, hi - mode)):
+            for start in range(done + 1, reach + 1, _CHUNK):
                 d = np.arange(start, min(start + _CHUNK, reach + 1), dtype=float)
                 f = ratio(mode + d - 1.0) if sign > 0 else 1.0 / ratio(mode - d)
-                f[0] *= x_end  # continues the previous chunk's product
+                f[0] *= edges[sign]  # continues the previous chunk's product
                 x = np.cumprod(f)
-                x_end = x[-1]
-                sums += (x.sum(), x @ np.log(np.maximum(x, 5e-324)),
-                         sign * (d @ x), (d * d) @ x)
-            edges.append(x_end)
+                edges[sign] = x[-1]
+                sums += _chunk_sums(sign * d, x)
         rest, xlnx, first, second = map(float, sums)
         total = 1.0 + rest
-        tails = (_geometric_tail(edges[0] / total, 1.0 / ratio(lo - 1)) if lo > 0 else 0.0,
+        tails = (_geometric_tail(edges[-1] / total, 1.0 / ratio(lo - 1)) if lo > 0 else 0.0,
                  _geometric_tail(edges[1] / total, ratio(hi)))
         if None not in tails:
             shift = first / total
@@ -146,6 +152,11 @@ def scan_from_ratios(ratio):
                           mode + shift, second / total - shift * shift)
         left, right = (2 * left if tails[0] is None else left,
                        2 * right if tails[1] is None else right)
+
+
+def _chunk_sums(d, x):
+    """Sums of x, x ln x, d x and d^2 x over terms x at offsets d from the mode."""
+    return x.sum(), x @ np.log(np.maximum(x, 5e-324)), d @ x, (d * d) @ x
 
 
 def build_from_ratios(ratio):

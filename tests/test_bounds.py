@@ -131,6 +131,14 @@ class TestEntropyExact:
             assert entropy_total_exact(1, energy) == pytest.approx(
                 thermal_entropy_g(energy), rel=1e-10)
 
+    @pytest.mark.parametrize("energy", [1e2, 1e3, 1e4, 3e4])
+    def test_many_chunk_walks_match_thermal_entropy(self, energy):
+        # the geometric law's window runs to about 250 chunks at E = 3e4
+        with mp.workdps(50):
+            e = mp.mpf(energy)
+            want = (e + 1) * mp.log(e + 1, 2) - e * mp.log(e, 2)
+        assert entropy_total_exact(1, energy) == pytest.approx(float(want), rel=2e-13)
+
     def test_reference_value(self):
         assert entropy_total_exact(20, 1.0) == pytest.approx(
             ENTROPY_M20_E1, rel=1e-12)

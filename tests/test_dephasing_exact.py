@@ -5,6 +5,7 @@ Reference constants were evaluated with mpmath at 50 significant digits.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dephcap.dephasing_exact import (
     solve_dephasing,
     solve_lambda,
 )
+from dephcap.errors import SolverError
 from dephcap.scalar_math import LN2, thermal_entropy_g
 from dephcap.special_math import squared_binomial_law
 from dephcap.verification import _optimal_joint_weights
@@ -215,10 +217,62 @@ def test_capacity_is_the_last_newton_evaluation(m, log_energy):
         assert law == squared_binomial_law(m, z)
 
 
-@pytest.mark.parametrize("energy, evaluations", [(1.0, 4), (10.0, 3)])
+@pytest.mark.parametrize("energy, evaluations", [(1.0, 2), (10.0, 2)])
 def test_one_series_evaluation_per_newton_step(energy, evaluations):
     # the capacity reads ln S0 from the last step instead of a further evaluation
     assert len(_visited(100, energy)[1]) == evaluations
+
+
+def test_newton_starts_near_the_root():
+    # fig2's benchmark grids take 1100 evaluations from max(q^(2-1/m), q/m),
+    # whose 1/m term is wrong; at m = 1 that guess is the root itself
+    grids = [(m, 1.0) for m in range(1, 201)] + [(m, 10.0) for m in range(1, 101)]
+    assert sum(len(_visited(m, energy)[1]) for m, energy in grids) <= 717
+    for energy in (1e-6, 1.0, 1e5):
+        assert len(_visited(1, energy)[1]) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3000), log_energy=st.floats(-6.0, 3.0))
+def test_no_point_takes_more_than_five_evaluations(m, log_energy):
+    assert len(_visited(m, 10.0 ** log_energy)[1]) <= 5
+
+
+# solve_lambda(m, E) where E(E+1) in the asymptotic start underflows or
+# overflows: each point ends in this value or error, and warns nothing
+_BRACKET_TOP = "lambda bracket top rounded to 1 (m={m}, E={E!r})"
+_FLOAT_EDGE_ENDINGS = {
+    (1, 5e-324): (5e-324, 5e-324),
+    (2, 5e-324): "lambda solve underflowed to 0: E is too close to the smallest "
+                 "float (m=2, E=5e-324)",
+    (200, 5e-324): "lambda solve underflowed to 0: E is too close to the smallest "
+                   "float (m=200, E=5e-324)",
+    (1, 1e-300): (1e-300, 1e-300),
+    (2, 1e-300): (5e-301, 2e-300),
+    (200, 1e-300): (5e-303, 2e-298),
+    (1, 1e12): "solved lambda=0.999999999999 reproduces mean 1000022122208.5028 "
+               "instead of 1000000000000.0 (m=1, E=1000000000000.0)",
+    (2, 1e12): "solved lambda=0.9999999999985 reproduces mean 1999970229012.5972 "
+               "instead of 2000000000000.0 (m=2, E=1000000000000.0)",
+    (200, 1e12): "solved lambda=0.999999999998005 reproduces mean "
+                 "200004034873185.72 instead of 200000000000000.0 "
+                 "(m=200, E=1000000000000.0)",
+    **{(m, energy): _BRACKET_TOP.format(m=m, E=energy)
+       for m in (1, 2, 200) for energy in (1e150, 1e300)},
+}
+
+
+@pytest.mark.parametrize("m, energy", sorted(_FLOAT_EDGE_ENDINGS))
+def test_float_edges_end_as_before(m, energy):
+    want = _FLOAT_EDGE_ENDINGS[m, energy]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, tuple):
+            assert solve_lambda(m, energy) == want
+            return
+        with pytest.raises(SolverError) as raised:
+            solve_lambda(m, energy)
+    assert str(raised.value) == want
 
 
 @pytest.mark.parametrize("energy", [0.01, 1.0])
