@@ -43,9 +43,6 @@ class FockOperator:
     def trace(self):
         return complex(np.trace(self.data))
 
-    def copy(self):
-        return FockOperator(self.dims, self.data.copy())
-
 
 def mode_occupations(dims):
     """(dim, n_modes) array listing each basis state's occupation numbers."""
@@ -136,21 +133,22 @@ def beamsplitter_corners(kappa, d, n_total):
     c, s = math.sqrt(kappa), math.sqrt(1.0 - kappa)
     levels = np.arange(d)
     root = np.sqrt(levels)
+    rests = np.sqrt(np.maximum(np.arange(n_total)[:, None] - levels, 0))  # sqrt(N - n)
     amp = np.zeros((n_total, d, d))
     amp[0, 0, 0] = 1.0
-    for total in range(1, n_total):
-        rest = np.sqrt(np.maximum(total - levels, 0))
-        up = np.zeros((d, d))          # sqrt(j) <j-1, N-j| U |m, N-1-m>
-        up[1:] = root[1:, None] * amp[total - 1, :-1]
+    up = np.zeros((d, d))  # sqrt(j) <j-1, N-j| U |m, N-1-m>; row 0 stays 0
+    rot_up, rot_down = np.array([c, s])[:, None, None], np.array([-s, c])[:, None, None]
+    for total, rest in enumerate(rests[1:], 1):
+        np.multiply(root[1:, None], amp[total - 1, :-1], out=up[1:])
         down = rest[:, None] * amp[total - 1]   # sqrt(N-j) <j, N-1-j| U |m, N-1-m>
-        x, y = c * up - s * down, s * up + c * down
+        x, y = rot_up * up + rot_down * down
         y *= rest
         y[:, 1:] += x[:, :-1] * root[1:]
-        amp[total] = y / total
+        np.divide(y, total, out=amp[total])
     return amp
 
 
-def apply_thermal_loss(state, mode, ch):
+def apply_thermal_loss(state, mode, ch, max_offset=None):
     """Thermal loss ``ch`` on one mode via its beamsplitter dilation.
 
     The mode is mixed with a thermal environment of mean n_b/(1-kappa) on a
@@ -164,17 +162,23 @@ def apply_thermal_loss(state, mode, ch):
     A_s[k, n] = U_{n+k}[n+s, n].  Bra and ket shift together, so each offset
     t = n - n' maps to itself: out[j, j-t] = sum_n G_{j-n}[n, n-t] rho[n, n-t]
     is a real matrix product with the float view of rho's t-th diagonal.
+    ``max_offset=k`` runs only the products for |t| <= k and leaves every
+    other offset of the mode at 0; None (or k >= d - 1) maps them all.
     """
     if not 0 <= mode < len(state.dims):
         raise ValueError(f"mode {mode} out of range for dims {state.dims}")
+    if max_offset is not None and max_offset < 0:
+        raise ValueError(f"max_offset must be nonnegative, got {max_offset}")
+    d = state.dims[mode]
+    band = d - 1 if max_offset is None else min(max_offset, d - 1)
     if ch.kappa == 1.0:
-        return state.copy()
+        occ = mode_occupations(state.dims)[:, mode]
+        return FockOperator(state.dims, np.where(abs(occ[:, None] - occ) <= band, state.data, 0))
 
     env_mean = ch.n_b / (1.0 - ch.kappa)
     n_env = 1 if env_mean == 0.0 else max(1, math.ceil(
         math.log(1e-10) / math.log(env_mean / (env_mean + 1.0))))
     tau = thermal_probs(env_mean, n_env)
-    d = state.dims[mode]
     amp = beamsplitter_corners(ch.kappa, d, d + n_env - 1)
 
     g = np.zeros((2 * d - 1, d, d))  # g[d - 1 + s] = G_s
@@ -185,9 +189,9 @@ def apply_thermal_loss(state, mode, ch):
 
     axes = (mode, len(state.dims) + mode)
     rho = np.moveaxis(state.data.reshape(state.dims + state.dims), axes, (0, 1))
-    data = np.empty_like(state.data)
+    data = np.zeros(state.data.shape, complex)
     out = np.moveaxis(data.reshape(state.dims + state.dims), axes, (0, 1))
-    for t in range(1 - d, d):
+    for t in range(-band, band + 1):
         r = np.arange(max(0, t), d + min(0, t))  # n with n and n - t below d
         m_t, slab = g[d - 1 + r[:, None] - r, r, r - t], rho[r, r - t]
         flat, step = slab.reshape(r.size, -1).view(float), _GEMM_SIZE // r.size**2 or 1

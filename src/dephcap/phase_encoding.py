@@ -33,13 +33,15 @@ def symplectic_eigenvalues(cm):
 
     Taken from the ordinary eigenvalues of i Omega V, which come in +-nu
     pairs; this route avoids the cancellation-prone determinant combination.
+    One matrix gives two floats; a (..., 4, 4) stack gives two arrays.
     """
     omega = np.array([[0.0, 1.0, 0.0, 0.0],
                       [-1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 1.0],
                       [0.0, 0.0, -1.0, 0.0]])
     vals = np.sort(np.abs(np.linalg.eigvals(1j * omega @ np.asarray(cm, float))))
-    return float(0.5 * (vals[0] + vals[1])), float(0.5 * (vals[2] + vals[3]))
+    nus = 0.5 * (vals[..., 0] + vals[..., 1]), 0.5 * (vals[..., 2] + vals[..., 3])
+    return nus if vals.ndim > 1 else tuple(map(float, nus))
 
 
 def tmsv_through_loss(energy, ch):

@@ -209,9 +209,51 @@ class TestThermalLossOracle:
         assert np.abs(got - want).max() <= 1e-15
 
 
+class TestBandedLoss:
+    # verify's covariance check reads the d = 28 TMSV within two signal offsets
+    @pytest.mark.parametrize("dims, mode, seed, k", [
+        ((5, 5), 0, 7, 0), ((5, 5), 1, 7, 1), ((5, 5), 0, 7, 3),
+        ((3, 4, 5), 0, 3, 1), ((3, 4, 5), 1, 3, 0), ((3, 4, 5), 2, 3, 2),
+        ((28, 28), 0, None, 2)],
+        ids=["5x5-0-k0", "5x5-1-k1", "5x5-0-k3", "3x4x5-0-k1", "3x4x5-1-k0",
+             "3x4x5-2-k2", "tmsv28-0-k2"])
+    @pytest.mark.parametrize("kappa, n_b", [(0.7, 0.3), (0.8, 0.5), (1.0, 0.0)])
+    def test_band_is_the_full_map_cut_at_its_offsets(self, dims, mode, seed, k,
+                                                      kappa, n_b):
+        st = fo.tmsv_state(0.1, 28) if seed is None else _random_state(dims, seed)
+        ch = ThermalLossChannel(kappa, n_b)
+        full = fo.apply_thermal_loss(st, mode, ch).data
+        band = fo.apply_thermal_loss(st, mode, ch, max_offset=k).data
+        occ = fo.mode_occupations(dims)[:, mode]
+        inside = np.abs(occ[:, None] - occ) <= k
+        assert np.array_equal(band[inside], full[inside])
+        assert not band[~inside].any()
+
+    @pytest.mark.parametrize("k", [4, 5, 100])
+    def test_a_band_past_the_cutoff_is_the_full_map(self, k):
+        st, ch = _random_state((5, 5), 7), ThermalLossChannel(0.7, 0.3)
+        assert np.array_equal(fo.apply_thermal_loss(st, 1, ch, max_offset=k).data,
+                              fo.apply_thermal_loss(st, 1, ch).data)
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.0])
+    def test_a_negative_band_is_refused(self, kappa):
+        with pytest.raises(ValueError, match="max_offset"):
+            fo.apply_thermal_loss(_random_state((5, 5), 7), 0,
+                                  ThermalLossChannel(kappa), max_offset=-1)
+
+
 class TestBeamsplitterCorners:
     def test_full_width_corners_are_orthogonal(self):
         _assert_full_width_orthogonal(0.7, 25, 1e-13)
+
+    # each step reads only the d x d corner of the block before it, so a
+    # smaller table is the leading part of a larger one, bit for bit
+    @pytest.mark.parametrize("kappa", [0.6, 0.7, 0.8])
+    def test_a_smaller_table_is_a_prefix_of_a_larger_one(self, kappa):
+        big = fo.beamsplitter_corners(kappa, 16, 60)
+        for d, n_total in [(1, 1), (1, 60), (2, 7), (9, 9), (9, 60), (16, 33), (16, 60)]:
+            small = fo.beamsplitter_corners(kappa, d, n_total)
+            assert np.array_equal(big[:n_total, :d, :d], small)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kappa=hst.floats(0.0, 1.0, exclude_min=True), n_max=hst.integers(0, 40))

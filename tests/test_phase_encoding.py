@@ -72,6 +72,20 @@ class TestGaussianState:
         assert nus[1] == pytest.approx(occs[1], abs=1e-9)
 
 
+    def test_a_stack_gives_the_single_matrix_values(self):
+        cms = [tmsv_through_loss(energy, ThermalLossChannel(kappa, n_b))
+               for kappa, n_b in [(0.2, 0.0), (0.7, 0.5), (1.0, 0.0), (0.9, 10.0)]
+               for energy in (0.001, 1.0, 10.0)] + [np.diag([3.0, 3.0, 5.0, 5.0])]
+        one = [symplectic_eigenvalues(cm) for cm in cms]
+        assert all(type(nu) is float for pair in one for nu in pair)
+        nu_minus, nu_plus = symplectic_eigenvalues(np.array(cms))
+        assert nu_minus.shape == nu_plus.shape == (len(cms),)
+        assert nu_minus.tolist() == [pair[0] for pair in one]
+        assert nu_plus.tolist() == [pair[1] for pair in one]
+        grid = symplectic_eigenvalues(np.array(cms).reshape(13, 1, 4, 4))
+        assert [nus.shape for nus in grid] == [(13, 1), (13, 1)]
+
+
 class TestConditionalEntropy:
     def test_vacuum(self):
         got = gaussian_conditional_entropy(0.0, ThermalLossChannel(1.0, 0.0))

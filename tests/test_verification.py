@@ -4,12 +4,19 @@ test_acceptance.py, once, since several build large truncated spaces)."""
 import math
 
 import numpy as np
+import pytest
 
 from dephcap import fock_oracle as fo
+from dephcap import verification
 from dephcap.thermal_loss import ThermalLossChannel
 from dephcap.verification import (_ALL_CHECKS, CheckResult,
+                                  check_covariance_vs_dilation,
                                   check_discrete_phase_holevo,
-                                  check_phase_average_diagonality)
+                                  check_fock_diagonal_vs_dilation,
+                                  check_phase_average_diagonality,
+                                  check_symplectic_occupations,
+                                  check_trace_preservation,
+                                  check_two_mode_optimal_input_mi)
 
 
 class TestCheckResult:
@@ -65,3 +72,29 @@ def test_discrete_phase_holevo_is_the_ensemble_formula():
     avg = fo.FockOperator(lossy.dims, sum(st.data for st in members) / 64)
     chi = fo.von_neumann_entropy(avg) - entropies.mean()
     assert abs(chi - check_discrete_phase_holevo().value) <= 1e-12
+
+
+@pytest.mark.parametrize("check", [
+    check_fock_diagonal_vs_dilation, check_covariance_vs_dilation, check_trace_preservation])
+def test_banded_checks_read_nothing_outside_their_band(check, monkeypatch):
+    banded = check()
+    full_map = fo.apply_thermal_loss
+    monkeypatch.setattr(fo, "apply_thermal_loss",
+                        lambda state, mode, ch, max_offset=None: full_map(state, mode, ch))
+    assert check() == banded
+
+
+def test_optimal_weights_are_computed_once_per_shell(monkeypatch):
+    # the MI check's 351 patterns have 26 distinct totals, 0 to 25
+    calls, log_binomial = [], verification.log_binomial
+    monkeypatch.setattr(verification, "log_binomial",
+                        lambda *args: calls.append(args) or log_binomial(*args))
+    check_two_mode_optimal_input_mi()
+    assert len(calls) == 26
+
+
+def test_symplectic_check_makes_one_eigenvalue_call(monkeypatch):
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    assert check_symplectic_occupations().status == "pass"
+    assert calls == [(105, 4, 4)]
