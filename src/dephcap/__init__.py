@@ -16,9 +16,9 @@ _EXPORTS = {
     "ContractViolation": "errors",
     "DephasingSolution": "dephasing_exact",
     "JointFockDiagonal": "phase_encoding",
-    "PhotonDistribution": "photon_dist",
     "SolverError": "errors",
     "ThermalLossChannel": "thermal_loss",
+    "Window": "photon_dist",
     "capacity_report": "thermal_loss",
     "ea_capacity": "thermal_loss",
     "entropy_total_asym": "bounds",

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import _geometric_tail, build_from_ratios, scan_from_ratios
+from .photon_dist import _geometric_tail, scan_from_ratios
 from .scalar_math import LN2
 from .special_math import bd0, check_block, stirling_remainder
 
@@ -41,18 +41,18 @@ def _check_moments(mean, variance, m, energy):
 
 
 def thermal_total_photon_dist(m, energy):
-    """Total photon number over m independent thermal modes of mean ``energy``.
+    """Certified window of the total photon number of m thermal modes of mean E.
 
     Negative binomial: P(n) = C(n+m-1, m-1) E^n / (E+1)^(n+m), with mean m E
-    and variance m E (E+1); both moments are re-verified on the materialized
-    window to 1e-9 relative as a guard on the cutoff certification.
+    and variance m E (E+1); both moments are re-verified on its
+    scan_from_ratios window to 1e-9 relative as a guard on the certification.
     """
     # real-valued m >= 1 is accepted so log-spaced mode grids stay exact;
     # the negative-binomial law is well defined for any positive shape
     m, energy = check_block(m, energy, integer=False)
-    dist = build_from_ratios(_negative_binomial_ratio(m, energy))
-    _check_moments(dist.mean(), dist.variance(), m, energy)
-    return dist
+    window = scan_from_ratios(_negative_binomial_ratio(m, energy))
+    _check_moments(window.mean, window.variance, m, energy)
+    return window
 
 
 # trapezoid nodes of a wide law, in standard deviations about its mean mE;
@@ -118,7 +118,7 @@ def entropy_total_exact(m, energy):
     """Entropy in bits of the total-count negative-binomial law.
 
     A wide law is integrated by _entropy_wide from 177 terms; a narrow one
-    is streamed over thermal_total_photon_dist's window in O(chunk) memory.
+    is streamed over its scan_from_ratios window in O(chunk) memory.
     """
     m, energy = check_block(m, energy, integer=False)
     sigma = math.sqrt(m * energy * (energy + 1.0))

@@ -12,14 +12,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import build_from_ratios, scan_from_ratios
+from .photon_dist import scan_from_ratios
 from .scalar_math import LN2, thermal_entropy_g
 from .special_math import SquaredBinomialSeries, check_block, check_weight
 
 # perfbench/spans.py traces these two layers under their former names: the
-# series' evaluations at one lambda each, and the law's builder
+# series' evaluations at one lambda each, and the law's walk.  It reads .probs
+# from optimal_total_distribution and bounds.thermal_total_photon_dist, so
+# window() and entropy_total_exact never call them by name (ROADMAP item 1b)
 _squared_series_logs = SquaredBinomialSeries.at
-build_from_log_pmf = build_from_ratios
+build_from_log_pmf = scan_from_ratios
 
 _MEAN_RTOL = 1e-10
 _MAX_ITER = 100
@@ -91,11 +93,11 @@ def _optimal_ratio(m, lam):
 
 
 def optimal_total_distribution(m, lam):
-    """Capacity-achieving distribution of the total photon number over a block.
+    """Certified window of the capacity-achieving total-photon-number law.
 
-    ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  Stored
-    over a window certified to omit less than 1e-12 of the mass (and below
-    1e-11 bits of entropy) on both sides; see photon_dist.build_from_ratios.
+    ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  The
+    photon_dist.Window omits less than 1e-12 of the mass (and below 1e-11
+    bits of entropy) on both sides; see photon_dist.scan_from_ratios.
     """
     m, _ = check_block(m, 0.0)
     return build_from_log_pmf(_optimal_ratio(m, check_weight(lam)))

@@ -1,7 +1,6 @@
-"""Windowed photon-number distributions with certified tail bounds."""
+"""Certified windows of photon-number laws, walked from their term ratios."""
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -10,54 +9,12 @@ from .errors import SolverError
 from .scalar_math import LN2
 from .special_math import anchored_products
 
-_MASS_SLACK = 1e-12
 # certified bounds on what a window leaves out, summed over both sides
 _TAIL_MASS = 1e-12
 _TAIL_ENTROPY_BITS = 1e-11
-# longest window walked (80 MB once built) before certification gives up
+# longest window walked before certification gives up
 _MAX_WINDOW = 10_000_000
 _CHUNK = 4096  # terms multiplied and summed per step of scan_from_ratios
-
-
-@dataclass
-class PhotonDistribution:
-    """Probabilities over total photon number n = offset, ..., cutoff.
-
-    ``probs[i]`` is the probability of n = offset + i.  ``tail_bound`` is a
-    certified upper bound on the probability mass outside the stored window,
-    so probs.sum() + tail_bound accounts for all mass.
-    """
-
-    probs: np.ndarray
-    tail_bound: float = 0.0
-    offset: int = 0
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if probs.min() < -_MASS_SLACK:
-            raise ValueError(f"negative probability entry {probs.min()}")
-        self.probs = np.clip(probs, 0.0, None)
-        if self.tail_bound < 0.0:
-            raise ValueError("tail bound must be nonnegative")
-        total = float(self.probs.sum())
-        if total > 1.0 + _MASS_SLACK or total + self.tail_bound < 1.0 - _MASS_SLACK:
-            raise ValueError(
-                f"mass {total} plus tail bound {self.tail_bound} does not reach 1")
-
-    @property
-    def cutoff(self):
-        """Largest stored photon number."""
-        return self.offset + self.probs.size - 1
-
-    def mean(self):
-        return self.offset + float(np.arange(self.probs.size) @ self.probs)
-
-    def variance(self):
-        i = np.arange(self.probs.size)
-        mu = float(i @ self.probs)
-        return float(((i - mu) ** 2) @ self.probs)
 
 
 def _mode(ratio):
@@ -157,17 +114,6 @@ def scan_from_ratios(ratio):
 def _chunk_sums(d, x):
     """Sums of x, x ln x, d x and d^2 x over terms x at offsets d from the mode."""
     return x.sum(), x @ np.log(np.maximum(x, 5e-324)), d @ x, (d * d) @ x
-
-
-def build_from_ratios(ratio):
-    """The law of scan_from_ratios' certified window, stored.
-
-    One anchored_products pass over the window, renormalized to its sum.
-    """
-    window = scan_from_ratios(ratio)
-    x = anchored_products(ratio(np.arange(window.offset, window.cutoff, dtype=float)),
-                          window.mode - window.offset)
-    return PhotonDistribution(x / x.sum(), window.tail_bound, window.offset)
 
 
 def _geometric_tail(p, ratio, gap=None):

@@ -70,7 +70,7 @@ def shannon_entropy(p):
     """Shannon entropy in bits of a probability vector.
 
     ``p`` may be an array of probabilities or any object with ``probs`` and
-    ``tail_bound`` attributes (see PhotonDistribution); in the latter case the
+    ``tail_bound`` attributes (see JointFockDiagonal); in the latter case the
     certified tail is allowed to account for missing mass.  Entries must be
     nonnegative and the total mass must sit within ``_MASS_TOL`` (1e-9) of 1.
     """

@@ -1,0 +1,71 @@
+"""Photon-number laws as arrays, built without dephcap, to test its windows against.
+
+The program keeps only the certified window of a law and the sums over it
+(photon_dist.Window); these builders give the entries themselves: the
+negative binomial from scipy.stats.nbinom and the optimal pure-dephasing
+law from mpmath.
+"""
+
+import mpmath as mp
+import numpy as np
+from scipy import stats
+
+
+def negative_binomial(m, energy, lo, hi):
+    """P(n) = C(n+m-1, m-1) E^n / (E+1)^(n+m) for n = lo..hi.
+
+    scipy takes the law by p = 1/(E+1), whose rounding moves the entries at
+    E << 1 by about n 1e-16/E relative; pass E through ``scipy_energy`` where
+    that matters.
+    """
+    return stats.nbinom.pmf(np.arange(lo, hi + 1), m, 1.0 / (energy + 1.0))
+
+
+def negative_binomial_outside(m, energy, lo, hi):
+    """Mass of the negative binomial outside n = lo..hi."""
+    law = stats.nbinom(m, 1.0 / (energy + 1.0))
+    return float(law.cdf(lo - 1) + law.sf(hi))
+
+
+def scipy_energy(energy):
+    """The E, within a rounding of ``energy``, of the law scipy reads from p = 1/(E+1)."""
+    p = 1.0 / (energy + 1.0)
+    return (1.0 - p) / p
+
+
+def _optimal_terms(m, lam, lo, hi):
+    """The optimal law's entries n = lo..hi as mpf, at the working precision."""
+    lam = mp.mpf(lam)
+    p = mp.binomial(lo + m - 1, m - 1) ** 2 * lam ** lo / mp.hyp2f1(m, m, 1, lam)
+    terms = []
+    for n in range(lo, hi + 1):
+        terms.append(p)
+        p *= ((n + m) / mp.mpf(n + 1)) ** 2 * lam
+    return terms
+
+
+def optimal_law(m, lam, lo, hi):
+    """P(n) = C(n+m-1, m-1)^2 lam^n / 2F1(m, m; 1; lam) for n = lo..hi, from 30 digits."""
+    with mp.workdps(30):
+        return np.array([float(p) for p in _optimal_terms(m, lam, lo, hi)])
+
+
+def optimal_outside(m, lam, lo, hi):
+    """Mass of the optimal law outside n = lo..hi, as 1 minus the mass inside."""
+    with mp.workdps(30):
+        return float(1 - mp.fsum(_optimal_terms(m, lam, lo, hi)))
+
+
+def window_sums(lo, probs):
+    """(entropy in bits, mean, variance) of ``probs`` at n = lo, lo+1, ..., renormalized.
+
+    What a certified window's sums stand for: the law over the window,
+    divided by its mass there.
+    """
+    p = probs / probs.sum()
+    d = np.arange(p.size, dtype=float)
+    nz = p[p > 0.0]
+    shift = float(d @ p)
+    return (float(-nz @ np.log2(nz)), lo + shift,
+            float(((d - shift) ** 2) @ p))
+

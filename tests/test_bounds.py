@@ -11,10 +11,15 @@ import math
 import tracemalloc
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
+from reference_laws import (
+    negative_binomial,
+    negative_binomial_outside,
+    scipy_energy,
+    window_sums,
+)
 
 from dephcap import bounds, cli
 from dephcap.bounds import (
@@ -26,7 +31,6 @@ from dephcap.dephasing_exact import solve_dephasing
 from dephcap.errors import SolverError
 from dephcap.photon_dist import scan_from_ratios
 from dephcap.scalar_math import LN2, thermal_entropy_g
-from dephcap.special_math import shannon_entropy
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
 # Law of the summed photon number at m=1e5, E=0.001.
@@ -85,38 +89,54 @@ ADVANTAGE_LIMIT = 0.5 * math.log2(math.e / 2.0)
 
 class TestTotalPhotonLaw:
     def test_single_mode_is_geometric(self):
-        dist = thermal_total_photon_dist(1, 1.0)
-        n = np.arange(40)
-        np.testing.assert_allclose(dist.probs[:40], 0.5 ** (n + 1), rtol=1e-13)
+        window = thermal_total_photon_dist(1, 1.0)
+        assert window.offset == 0
+        assert window.entropy == pytest.approx(2.0, rel=1e-13)  # g(1)
+        assert (window.mean, window.variance) == pytest.approx((1.0, 2.0), rel=1e-13)
 
     def test_zero_probability_of_vacuum_two_modes(self):
-        dist = thermal_total_photon_dist(2, 1.0)
-        assert dist.probs[0] == pytest.approx(0.25, rel=1e-14)
+        window = thermal_total_photon_dist(2, 1.0)
+        law = negative_binomial(2, 1.0, window.offset, window.cutoff)
+        assert window.offset == 0
+        assert law[0] == pytest.approx(0.25, rel=1e-14)
+        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+            window_sums(0, law), rel=1e-13)
 
     @pytest.mark.parametrize("n, want", sorted(NB_SPOT_REFS.items()))
     def test_reference_entries_at_large_mode_count(self, n, want):
-        dist = thermal_total_photon_dist(1e5, 0.001)
-        assert dist.probs[n] == pytest.approx(want, rel=1e-11)
+        # the reference the windows are tested against, inside the window;
+        # scipy's rounded p = 1/(E+1) moves P(0) = p^m by m 1.1e-16 relative
+        assert negative_binomial(1e5, 0.001, n, n)[0] == pytest.approx(
+            want, rel=2e-11, abs=0.0)
+        window = thermal_total_photon_dist(1e5, 0.001)
+        assert window.offset <= n <= window.cutoff
 
     @pytest.mark.parametrize("m, energy", [(7, 0.3), (1e5, 0.001), (2.5, 0.3)])
     def test_moments(self, m, energy):
-        dist = thermal_total_photon_dist(m, energy)
-        assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
-        assert dist.variance() == pytest.approx(
+        window = thermal_total_photon_dist(m, energy)
+        assert window.mean == pytest.approx(m * energy, rel=1e-9)
+        assert window.variance == pytest.approx(
             m * energy * (energy + 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("m, energy", [(7, 0.3), (1e5, 0.001), (2.5, 0.3)])
+    def test_window_sums_the_reference_law(self, m, energy):
+        energy = scipy_energy(energy)
+        window = thermal_total_photon_dist(m, energy)
+        law = negative_binomial(m, energy, window.offset, window.cutoff)
+        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+            window_sums(window.offset, law), rel=1e-13)
 
     @pytest.mark.parametrize("m, energy",
                              [(1, 1.0), (20, 1.0), (1e5, 0.001), (1e7, 0.001)])
     def test_mass_window(self, m, energy):
-        dist = thermal_total_photon_dist(m, energy)
-        total = dist.probs.sum()
-        assert total <= 1.0 + 1e-12
-        assert total + dist.tail_bound >= 1.0 - 1e-12
-        assert dist.tail_bound <= 1e-12
+        window = thermal_total_photon_dist(m, energy)
+        outside = negative_binomial_outside(m, energy, window.offset, window.cutoff)
+        # m = 1 is geometric, where the bound is the omitted mass itself
+        assert outside <= window.tail_bound * (1.0 + 1e-12)
+        assert window.tail_bound <= 1e-12
 
     def test_zero_energy_is_point_mass(self):
-        dist = thermal_total_photon_dist(5, 0.0)
-        assert dist.probs[0] == 1.0
+        assert thermal_total_photon_dist(5, 0.0) == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("m", [0.5, 0.0, -3])
     def test_mode_count_below_one_rejected(self, m):
@@ -174,9 +194,12 @@ class TestEntropyExact:
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-3.0, 1.0))
-def test_streamed_entropy_matches_the_materialized_law(log_m, log_energy):
-    m, energy = 10.0 ** log_m, 10.0 ** log_energy
-    want = shannon_entropy(thermal_total_photon_dist(m, energy))
+def test_streamed_entropy_matches_the_reference_law(log_m, log_energy):
+    # the reference law over the certified window, renormalized as the walk is
+    m, energy = 10.0 ** log_m, scipy_energy(10.0 ** log_energy)
+    window = thermal_total_photon_dist(m, energy)
+    want = window_sums(window.offset, negative_binomial(
+        m, energy, window.offset, window.cutoff))[0]
     assert entropy_total_exact(m, energy) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 

@@ -7,10 +7,10 @@ import math
 import tracemalloc
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_laws import optimal_law, optimal_outside, window_sums
 
 from dephcap import dephasing_exact
 from dephcap.dephasing_exact import (
@@ -42,8 +42,8 @@ class TestSolveLambda:
 
     @pytest.mark.parametrize("m, energy", [(1, 0.3), (2, 1.0), (5, 0.1), (20, 1.0)])
     def test_solved_weight_reproduces_the_mean(self, m, energy):
-        dist = optimal_total_distribution(m, solve_lambda(m, energy)[0])
-        assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
+        window = optimal_total_distribution(m, solve_lambda(m, energy)[0])
+        assert window.mean == pytest.approx(m * energy, rel=1e-9)
 
     @pytest.mark.parametrize("m, energy", [(1, 1.0), (2, 1.0), (20, 0.3), (3000, 10.0)])
     def test_returns_the_normalizer_at_the_solved_lambda(self, m, energy):
@@ -64,28 +64,27 @@ class TestOptimalTotalDistribution:
     def test_single_mode_is_geometric(self):
         # The solved lambda carries the 1e-14 bisection tolerance, which the
         # power law amplifies by n; compare at a matching tolerance.
-        dist = optimal_total_distribution(1, solve_lambda(1, 1.0)[0])
-        n = np.arange(40)
-        np.testing.assert_allclose(dist.probs[:40], 0.5 ** (n + 1), rtol=1e-11)
+        window = optimal_total_distribution(1, solve_lambda(1, 1.0)[0])
+        assert window.offset == 0
+        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+            (2.0, 1.0, 2.0), rel=1e-11)
 
     def test_zero_energy_is_point_mass(self):
-        dist = optimal_total_distribution(4, 0.0)
-        assert dist.probs[0] == 1.0
-        assert dist.tail_bound == 0.0
+        window = optimal_total_distribution(4, 0.0)
+        assert window == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
 
     def test_tail_certification(self):
-        dist = optimal_total_distribution(2, solve_lambda(2, 1.0)[0])
-        assert dist.tail_bound <= 1e-12
-        assert dist.probs.sum() <= 1.0 + 1e-12
-        assert dist.probs.sum() + dist.tail_bound >= 1.0 - 1e-12
-
-    def test_entries_match_the_analytic_law(self):
         lam = solve_lambda(2, 1.0)[0]
-        dist = optimal_total_distribution(2, lam)
-        log_norm = squared_binomial_law(2, lam)[0]
-        n = np.arange(30)
-        want = np.exp(2.0 * np.log(n + 1.0) + n * math.log(lam) - log_norm)
-        np.testing.assert_allclose(dist.probs[:30], want, rtol=1e-12)
+        window = optimal_total_distribution(2, lam)
+        assert window.tail_bound <= 1e-12
+        assert optimal_outside(2, lam, window.offset, window.cutoff) <= window.tail_bound
+
+    def test_window_sums_the_analytic_law(self):
+        lam = solve_lambda(2, 1.0)[0]
+        window = optimal_total_distribution(2, lam)
+        law = optimal_law(2, lam, window.offset, window.cutoff)
+        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+            window_sums(window.offset, law), rel=1e-13)
 
     @pytest.mark.parametrize("m, lam, message", [
         (2.5, 0.5, "positive integer"), (0, 0.5, "positive integer"),
@@ -109,8 +108,7 @@ class TestSolveDephasing:
         sol = solve_dephasing(2, 1.0)
         assert sol.capacity == pytest.approx(CAPACITY_M2_E1, rel=1e-10)
         assert sol.lambda1 == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
-        assert optimal_total_distribution(sol.m, sol.lambda1).mean() == pytest.approx(
-            2.0, rel=1e-9)
+        assert sol.window().mean == pytest.approx(2.0, rel=1e-9)
 
     def test_twenty_modes_approach_the_doubling_ceiling(self):
         sol = solve_dephasing(20, 1.0)
@@ -131,34 +129,18 @@ class TestSolveDephasing:
         sol = solve_dephasing(3, 0.5)
         assert isinstance(sol, DephasingSolution)
         assert sol.capacity_per_mode == pytest.approx(sol.capacity / 3.0, rel=1e-15)
-        assert optimal_total_distribution(sol.m, sol.lambda1).mean() == pytest.approx(
-            1.5, rel=1e-9)
+        assert sol.window().mean == pytest.approx(1.5, rel=1e-9)
 
     def test_zero_energy_yields_the_silent_solution(self):
         sol = solve_dephasing(2, 0.0)
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
-        assert optimal_total_distribution(sol.m, sol.lambda1).probs[0] == 1.0
+        assert sol.window() == optimal_total_distribution(sol.m, sol.lambda1)
         assert sol.window() == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
-
-    def test_solve_and_its_window_build_no_law(self, monkeypatch):
-        built = []
-
-        def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
-            built.append(m)
-            return build(m, lam)
-        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
-        sol = solve_dephasing(20, 1.0)
-        window = sol.window()
-        assert built == []
-        dist = optimal_total_distribution(sol.m, sol.lambda1)
-        assert (dist.offset, dist.cutoff, dist.tail_bound) == (
-            window.offset, window.cutoff, window.tail_bound)
-        assert window.mean == pytest.approx(dist.mean(), rel=1e-13)
 
     def test_solve_needs_no_window_of_the_law(self):
         # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
@@ -183,13 +165,13 @@ class TestSolveDephasing:
 def test_every_point_solves_inside_its_sandwich(m, log_energy):
     energy = 10.0 ** log_energy
     sol = solve_dephasing(m, energy)
-    dist = optimal_total_distribution(sol.m, sol.lambda1)
-    assert dist.mean() == pytest.approx(m * energy, rel=1e-9)
+    window = sol.window()
+    assert window.mean == pytest.approx(m * energy, rel=1e-9)
     g = thermal_entropy_g(energy)
     assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
-    assert dist.tail_bound <= 1e-12
+    assert window.tail_bound <= 1e-12
     sd = math.sqrt(squared_binomial_law(m, sol.lambda1)[2])
-    assert dist.probs.size <= 100.0 * (sd + 1.0)
+    assert window.cutoff - window.offset + 1 <= 100.0 * (sd + 1.0)
 
 
 def _visited(m, energy):
@@ -307,9 +289,8 @@ class TestOptimalJointWeight:
     @pytest.mark.parametrize("k", range(0, 21, 4))
     def test_shell_sum_reproduces_the_total_law(self, k):
         lam = solve_lambda(3, 0.7)[0]
-        dist = optimal_total_distribution(3, lam)
         shell = math.comb(k + 2, 2) * _optimal_joint_weights(3, lam, [(k, 0, 0)])[0]
-        assert shell == pytest.approx(dist.probs[k], rel=1e-12)
+        assert shell == pytest.approx(optimal_law(3, lam, k, k)[0], rel=1e-12)
 
 
 def marginal_m2(n1, lam):

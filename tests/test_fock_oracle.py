@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from reference_laws import negative_binomial
 from scipy.linalg import expm
 
 from dephcap import fock_oracle as fo
-from dephcap.bounds import thermal_total_photon_dist
 from dephcap.dephasing_exact import solve_dephasing
 from dephcap.phase_encoding import fock_diagonal
 from dephcap.special_math import shannon_entropy
@@ -141,9 +141,9 @@ class TestComplementaryOutput:
     def test_two_thermal_modes_give_the_total_photon_law(self):
         one = fo.thermal_probs(1.0, 40)
         probs = fo.complementary_dephasing((40, 40), np.kron(one, one))
-        want = thermal_total_photon_dist(2, 1.0)
+        want = negative_binomial(2, 1.0, 0, 39)
         assert probs.shape == (79,)  # totals up to 39 + 39
-        assert np.abs(probs[:40] - want.probs[:40]).max() <= 1e-10
+        assert np.abs(probs[:40] - want).max() <= 1e-10
 
 
 class TestThermalLossOracle:

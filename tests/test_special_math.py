@@ -5,12 +5,12 @@ rounded once to double precision.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from dephcap.photon_dist import PhotonDistribution
 from dephcap.scalar_math import thermal_entropy_g
 from dephcap.special_math import (
     MAX_MODES,
@@ -172,7 +172,7 @@ class TestShannonEntropy:
     def test_geometric_law_matches_thermal_entropy(self, energy, cutoff):
         q = energy / (energy + 1.0)
         probs = (1.0 - q) * q ** np.arange(cutoff + 1)
-        dist = PhotonDistribution(probs, q ** (cutoff + 1))
+        dist = SimpleNamespace(probs=probs, tail_bound=q ** (cutoff + 1))
         assert shannon_entropy(dist) == pytest.approx(
             thermal_entropy_g(energy), abs=1e-10)
 
