@@ -314,6 +314,19 @@ class TestPreviouslyFailingPoints:
 class TestOptimalLawBuilds:
     """The solve is closed form, and capacity walks the law without storing it."""
 
+    @pytest.mark.parametrize("argv", [
+        "fig2 -E 1 --m-max 20", "verify", "capacity --pure-dephasing -m 20 -E 1"])
+    def test_no_command_builds_the_law(self, argv, monkeypatch, capsys):
+        built = []
+
+        def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
+            built.append(m)
+            return build(m, lam)
+        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+        assert built == []
+
     def test_wide_window_is_walked_in_little_memory(self, capsys):
         # the window at E = 1e5 spans 4.8e6 terms, 38 MB as one float64 array
         tracemalloc.start()

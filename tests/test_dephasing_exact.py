@@ -142,6 +142,21 @@ class TestSolveDephasing:
         with pytest.raises(ValueError):
             solve_dephasing(2, -0.5)
 
+    def test_solve_and_its_window_build_no_law(self, monkeypatch):
+        built = []
+
+        def counted(m, lam, build=dephasing_exact.optimal_total_distribution):
+            built.append(m)
+            return build(m, lam)
+        monkeypatch.setattr(dephasing_exact, "optimal_total_distribution", counted)
+        sol = solve_dephasing(20, 1.0)
+        window = sol.window()
+        assert built == []
+        law = optimal_total_distribution(sol.m, sol.lambda1)
+        assert (law.offset, law.cutoff, law.tail_bound) == (
+            window.offset, window.cutoff, window.tail_bound)
+        assert window.mean == pytest.approx(law.mean, rel=1e-13)
+
     def test_solve_needs_no_window_of_the_law(self):
         # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
         # but the capacity is closed form and equals g(E) at m = 1
