@@ -23,7 +23,8 @@ class FockOperator:
     """Dense operator on a truncated multimode Fock space.
 
     ``dims`` holds the per-mode truncation dimensions (levels 0..d-1) and
-    ``data`` the full matrix over the row-major tensor-product basis.
+    ``data`` the full matrix over the row-major tensor-product basis, kept
+    float64 for real input and complex128 for complex input.
     """
 
     dims: tuple
@@ -33,7 +34,8 @@ class FockOperator:
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in self.dims):
             raise ValueError(f"mode dimensions must be positive, got {self.dims}")
-        data = np.asarray(self.data, dtype=complex)
+        data = np.asarray(self.data)
+        data = data.astype(complex if np.iscomplexobj(data) else float, copy=False)
         dim = int(np.prod(self.dims))
         if data.shape != (dim, dim):
             raise ValueError(
@@ -57,7 +59,7 @@ def total_numbers(dims):
 
 def pure_state(vector, dims):
     """Density operator |v><v| of a (normalized) state vector."""
-    v = np.asarray(vector, dtype=complex).ravel()
+    v = np.ravel(vector)
     if v.size != int(np.prod(dims)):
         raise ValueError("vector length does not match dims")
     norm = np.linalg.norm(v)
@@ -157,13 +159,14 @@ def apply_thermal_loss(state, mode, ch, max_offset=None):
     1e-10; output photons above the mode's own cutoff are dropped, which is
     the only other truncation (trace is preserved up to those tails).
 
-    Kraus operators moving the mode from n to n + s photons sum over the
-    environment's law tau to G_s[n, n'] = sum_k tau_k A_s[k, n] A_s[k, n'],
-    A_s[k, n] = U_{n+k}[n+s, n].  Bra and ket shift together, so each offset
-    t = n - n' maps to itself: out[j, j-t] = sum_n G_{j-n}[n, n-t] rho[n, n-t]
-    is a real matrix product with the float view of rho's t-th diagonal.
-    ``max_offset=k`` runs only the products for |t| <= k and leaves every
-    other offset of the mode at 0; None (or k >= d - 1) maps them all.
+    x[j, n, k] = U_{n+k}[j, n] takes the mode from n to j photons with k in
+    the environment.  Bra and ket shift together, so each offset t = n - n'
+    maps to itself: out[j, j-t] = sum_n M_t[j, n] rho[n, n-t], M_t[j, n] =
+    sum_k tau_k x[j, n, k] x[j-t, n-t, k], is a real matrix product with the
+    float view of rho's t-th diagonal, and M_-t is M_t with indices moved by t.
+    ``max_offset=k`` forms and runs only the offsets |t| <= k and leaves every
+    other offset of the mode at 0; None (or k >= d - 1) maps them all.  The
+    result takes the input's dtype.
     """
     if not 0 <= mode < len(state.dims):
         raise ValueError(f"mode {mode} out of range for dims {state.dims}")
@@ -180,24 +183,23 @@ def apply_thermal_loss(state, mode, ch, max_offset=None):
         math.log(1e-10) / math.log(env_mean / (env_mean + 1.0))))
     tau = thermal_probs(env_mean, n_env)
     amp = beamsplitter_corners(ch.kappa, d, d + n_env - 1)
-
-    g = np.zeros((2 * d - 1, d, d))  # g[d - 1 + s] = G_s
-    for s in range(1 - d, min(d, n_env)):
-        ns = np.arange(max(0, -s), min(d, d - s))  # input numbers n with n + s < d
-        a_s = amp[ns + np.arange(n_env)[:, None], ns + s, ns]
-        g[d - 1 + s, ns[:, None], ns] = (tau[:, None] * a_s).T @ a_s
+    levels = np.arange(d)  # k runs innermost, along the sums over it
+    x = amp[levels[:, None] + np.arange(n_env), levels[:, None, None], levels[:, None]]
+    del amp  # freed before the result is allocated
 
     axes = (mode, len(state.dims) + mode)
     rho = np.moveaxis(state.data.reshape(state.dims + state.dims), axes, (0, 1))
-    data = np.zeros(state.data.shape, complex)
+    data = np.zeros(state.data.shape, state.data.dtype)
     out = np.moveaxis(data.reshape(state.dims + state.dims), axes, (0, 1))
-    for t in range(-band, band + 1):
-        r = np.arange(max(0, t), d + min(0, t))  # n with n and n - t below d
-        m_t, slab = g[d - 1 + r[:, None] - r, r, r - t], rho[r, r - t]
-        flat, step = slab.reshape(r.size, -1).view(float), _GEMM_SIZE // r.size**2 or 1
-        for c in range(0, flat.shape[1], step):
-            flat[:, c:c + step] = m_t @ flat[:, c:c + step]
-        out[r, r - t] = slab
+    for shift in range(band + 1):
+        m_t = np.einsum("jnk,jnk,k->jn", x[shift:, shift:], x[:d - shift, :d - shift], tau)
+        for t in {shift, -shift}:
+            r = np.arange(max(0, t), d + min(0, t))  # n with n and n - t below d
+            slab = rho[r, r - t]
+            flat, step = slab.reshape(r.size, -1).view(float), _GEMM_SIZE // r.size**2 or 1
+            for c in range(0, flat.shape[1], step):
+                flat[:, c:c + step] = m_t @ flat[:, c:c + step]
+            out[r, r - t] = slab
     return FockOperator(state.dims, data)
 
 

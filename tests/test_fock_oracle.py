@@ -1,5 +1,6 @@
 """Brute-force truncated-Fock-space checks of the analytic machinery."""
 
+import ast
 import math
 import tracemalloc
 
@@ -41,6 +42,32 @@ def _dilation_reference(rho, dims, mode, ch, cut):
                     optimize=True)
     out = np.moveaxis(out[:d, :d].reshape(work.shape), (0, 1), axes)
     return out.reshape(rho.shape)
+
+
+def _shift_product_loss(state, mode, ch):
+    """Thermal loss by the per-shift route: G_s[n, n'] = sum_k tau_k A_s[k, n]
+    A_s[k, n'], A_s[k, n] = U_{n+k}[n+s, n], and out[j, j-t] =
+    sum_n G_{j-n}[n, n-t] rho[n, n-t], over the same corner table, environment
+    law and truncation as ``fo.apply_thermal_loss``."""
+    d = state.dims[mode]
+    env_mean = ch.n_b / (1.0 - ch.kappa)
+    n_env = math.ceil(math.log(1e-10) / math.log(env_mean / (env_mean + 1.0)))
+    tau = fo.thermal_probs(env_mean, n_env)
+    amp = fo.beamsplitter_corners(ch.kappa, d, d + n_env - 1)
+    g = np.zeros((2 * d - 1, d, d))  # g[d - 1 + s] = G_s
+    for s in range(1 - d, min(d, n_env)):
+        ns = np.arange(max(0, -s), min(d, d - s))  # input numbers n with n + s < d
+        a_s = amp[ns + np.arange(n_env)[:, None], ns + s, ns]
+        g[d - 1 + s, ns[:, None], ns] = (tau[:, None] * a_s).T @ a_s
+    axes = (mode, len(state.dims) + mode)
+    rho = np.moveaxis(state.data.reshape(state.dims + state.dims), axes, (0, 1))
+    out = np.zeros_like(rho)
+    for t in range(1 - d, d):
+        r = np.arange(max(0, t), d + min(0, t))  # n with n and n - t below d
+        slab = rho[r, r - t]
+        m_t = g[d - 1 + r[:, None] - r, r, r - t]
+        out[r, r - t] = (m_t @ slab.reshape(r.size, -1)).reshape(slab.shape)
+    return np.moveaxis(out, (0, 1), axes).reshape(state.data.shape), n_env
 
 
 def _corner_entry_mp(kappa, total, j, n):
@@ -242,6 +269,70 @@ class TestBandedLoss:
                                   ThermalLossChannel(kappa), max_offset=-1)
 
 
+class TestOffsetProducts:
+    # M_t[j, n] = sum_k tau_k x[j, n, k] x[j-t, n-t, k] sums the same products
+    # as G_{j-n}[n, n-t] in another order; every output element is below 0.31
+    # here, and the two routes agreed to within 0.25 eps when this was written
+    @pytest.mark.parametrize("kappa, n_b", [(0.7, 0.3), (0.8, 0.5), (0.6, 0.4)])
+    @pytest.mark.parametrize("d", [5, 14, 20])
+    def test_full_map_matches_the_shift_products(self, kappa, n_b, d):
+        st, ch = _random_state((d,), seed=d), ThermalLossChannel(kappa, n_b)
+        want, _ = _shift_product_loss(st, 0, ch)
+        got = fo.apply_thermal_loss(st, 0, ch).data
+        assert np.abs(got - want).max() <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("kappa, n_b", [(0.7, 0.3), (0.8, 0.5), (0.6, 0.4)])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_product_state_matches_the_shift_products(self, kappa, n_b, mode):
+        factors = [_random_state((d,), seed).data for d, seed in ((4, 1), (5, 2), (3, 3))]
+        st = fo.FockOperator((4, 5, 3), np.kron(np.kron(*factors[:2]), factors[2]))
+        ch = ThermalLossChannel(kappa, n_b)
+        want, _ = _shift_product_loss(st, mode, ch)
+        got = fo.apply_thermal_loss(st, mode, ch).data
+        assert np.abs(got - want).max() <= np.finfo(float).eps
+
+    # fig3's noisiest channel: the environment mean 50 takes 1163 levels
+    @pytest.mark.parametrize("make_state", [
+        lambda: fo.tmsv_state(0.1, 6), lambda: _random_state((6,), seed=4)],
+        ids=["tmsv", "random"])
+    def test_fig3_channel_matches_the_shift_products(self, make_state):
+        st, ch = make_state(), ThermalLossChannel(0.8, 10.0)
+        want, n_env = _shift_product_loss(st, 0, ch)
+        assert n_env == 1163
+        got = fo.apply_thermal_loss(st, 0, ch).data
+        assert np.abs(got - want).max() <= np.finfo(float).eps
+
+
+class TestDtype:
+    # real states run in real arithmetic; anything complex stays complex128
+    @pytest.mark.parametrize("k", [None, 0, 2])
+    @pytest.mark.parametrize("kappa, n_b", [(0.8, 0.5), (1.0, 0.0)])
+    def test_real_states_stay_real(self, kappa, n_b, k):
+        st = fo.tmsv_state(0.1, 8)
+        assert st.data.dtype == np.float64
+        assert fo.pure_state(np.eye(4)[1], (2, 2)).data.dtype == np.float64
+        lossy = fo.apply_thermal_loss(st, 0, ThermalLossChannel(kappa, n_b), k)
+        assert lossy.data.dtype == np.float64
+        assert fo.apply_dephasing(lossy).data.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [None, 0, 2])
+    @pytest.mark.parametrize("kappa, n_b", [(0.8, 0.5), (1.0, 0.0)])
+    def test_complex_states_stay_complex(self, kappa, n_b, k):
+        st = _random_state((4, 3), seed=2)
+        lossy = fo.apply_thermal_loss(st, 1, ThermalLossChannel(kappa, n_b), k)
+        assert lossy.data.dtype == np.complex128
+        assert fo.apply_dephasing(lossy).data.dtype == np.complex128
+        assert fo.apply_phase_shift(fo.tmsv_state(0.1, 4), 0, 0.3).data.dtype == np.complex128
+        vec = np.eye(4)[1] * 1j
+        assert fo.pure_state(vec, (2, 2)).data.dtype == np.complex128
+
+    def test_real_entropy_is_that_of_the_complex_copy(self):
+        lossy = fo.apply_thermal_loss(fo.tmsv_state(0.1, 14), 0, ThermalLossChannel(0.8, 0.5))
+        for st in (lossy, fo.apply_dephasing(lossy)):
+            twin = fo.FockOperator(st.dims, st.data.astype(complex))
+            assert abs(fo.von_neumann_entropy(st) - fo.von_neumann_entropy(twin)) <= 1e-13
+
+
 class TestBeamsplitterCorners:
     def test_full_width_corners_are_orthogonal(self):
         _assert_full_width_orthogonal(0.7, 25, 1e-13)
@@ -261,8 +352,8 @@ class TestBeamsplitterCorners:
         _assert_full_width_orthogonal(kappa, n_max, 1e-13)
 
     # verify's covariance dilation (d = 28, 69 environment levels) at
-    # kappa = 0.7, where one-sided recurrences were 3e-7 off, and fig3's
-    # n_b = 10 (1151 levels)
+    # kappa = 0.7, where one-sided recurrences were 3e-7 off, and nearly as
+    # many levels as fig3's n_b = 10 takes (1163)
     @pytest.mark.parametrize("kappa, d, n_env", [(0.7, 28, 69), (0.8, 12, 1151)])
     def test_corners_match_the_mpmath_sum(self, kappa, d, n_env):
         n_total = d + n_env - 1
@@ -275,7 +366,7 @@ class TestBeamsplitterCorners:
 
 
 class TestNoisyOracle:
-    # fig3's channel at n_b = 1 and 10: the environment takes 127 and 1151
+    # fig3's channel at n_b = 1 and 10: the environment takes 127 and 1163
     # levels.  The dilation is exact below the d = 20 cutoff up to the 1e-10
     # environment mass it leaves out, and fock_diagonal's window is wider.
     @pytest.mark.parametrize("n_b", [1.0, 10.0])
@@ -398,6 +489,15 @@ class TestStructure:
             0.5 * np.trace(st.data @ (qr @ qc + qc @ qr)).real - mr * mc
             for qc, mc in zip(quads, mean)] for qr, mr in zip(quads, mean)])
         assert np.abs(fo.two_mode_covariance(st) - want).max() <= 1e-12
+
+    def test_imports_no_closed_form_module(self):
+        # the oracle shares no code with what it checks
+        tree = ast.parse(open(fo.__file__).read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and not node.module.startswith("dephcap")
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("dephcap") for a in node.names)
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -98,3 +98,14 @@ def test_symplectic_check_makes_one_eigenvalue_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
     assert check_symplectic_occupations().status == "pass"
     assert calls == [(105, 4, 4)]
+
+
+def test_each_run_builds_its_own_corner_tables(monkeypatch):
+    # nine lossy maps, one corner table each, and none kept for the next run
+    calls, corners = [], fo.beamsplitter_corners
+    monkeypatch.setattr(fo, "beamsplitter_corners",
+                        lambda *args: calls.append(args) or corners(*args))
+    for _ in range(2):
+        calls.clear()
+        verification.run_all()
+        assert len(calls) == 9
