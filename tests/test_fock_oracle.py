@@ -310,7 +310,6 @@ class TestDtype:
     def test_real_states_stay_real(self, kappa, n_b, k):
         st = fo.tmsv_state(0.1, 8)
         assert st.data.dtype == np.float64
-        assert fo.pure_state(np.eye(4)[1], (2, 2)).data.dtype == np.float64
         lossy = fo.apply_thermal_loss(st, 0, ThermalLossChannel(kappa, n_b), k)
         assert lossy.data.dtype == np.float64
         assert fo.apply_dephasing(lossy).data.dtype == np.float64
@@ -322,9 +321,11 @@ class TestDtype:
         lossy = fo.apply_thermal_loss(st, 1, ThermalLossChannel(kappa, n_b), k)
         assert lossy.data.dtype == np.complex128
         assert fo.apply_dephasing(lossy).data.dtype == np.complex128
+
+    def test_pure_states_and_phase_shifts(self):
+        assert fo.pure_state(np.eye(4)[1], (2, 2)).data.dtype == np.float64
+        assert fo.pure_state(np.eye(4)[1] * 1j, (2, 2)).data.dtype == np.complex128
         assert fo.apply_phase_shift(fo.tmsv_state(0.1, 4), 0, 0.3).data.dtype == np.complex128
-        vec = np.eye(4)[1] * 1j
-        assert fo.pure_state(vec, (2, 2)).data.dtype == np.complex128
 
     def test_real_entropy_is_that_of_the_complex_copy(self):
         lossy = fo.apply_thermal_loss(fo.tmsv_state(0.1, 14), 0, ThermalLossChannel(0.8, 0.5))
