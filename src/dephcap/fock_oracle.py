@@ -9,6 +9,7 @@ code with what it checks.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 _HERM_TOL = 1e-10
 _EIG_CLIP = 1e-8
 _GEMM_SIZE = 2**19  # multiply-adds; OpenBLAS threads larger products, then spins
+_DILATION_BYTES = 2e8  # corner table plus gather, as phase encoding's kernel budget
 
 
 @dataclass
@@ -150,6 +152,28 @@ def beamsplitter_corners(kappa, d, n_total):
     return amp
 
 
+LossDilation = namedtuple("LossDilation", "tau x")
+
+
+def loss_dilation(ch, levels):
+    """Thermal loss ``ch`` for modes of at most ``levels`` levels: the environment
+    law tau and x[j, n, k] = U_{n+k}[j, n] from one corner table, refused above
+    ``_DILATION_BYTES``.  A mode of d levels reads x[:d, :d], bit for bit the x of d."""
+    if ch.kappa == 1.0:  # the identity, with a vacuum environment
+        return LossDilation(np.ones(1), np.eye(levels)[:, :, None])
+    env_mean = ch.n_b / (1.0 - ch.kappa)
+    log_q = math.log(env_mean / (env_mean + 1.0)) if env_mean else -math.inf
+    n_env = max(1, math.ceil(math.log(1e-10) / log_q)) if log_q < 0.0 else math.inf
+    table, gather = 8 * levels**2 * (levels + n_env - 1), 8 * levels**2 * n_env
+    if table + gather > _DILATION_BYTES:
+        raise ValueError(f"{ch} at {levels} levels needs {table:.3g} B of corner table "
+                         f"and {gather:.3g} B of gather, above {_DILATION_BYTES:.3g} B")
+    amp = beamsplitter_corners(ch.kappa, levels, levels + n_env - 1)
+    n = np.arange(levels)  # k runs innermost, along the sums over it
+    x = amp[n[:, None] + np.arange(n_env), n[:, None, None], n[:, None]]
+    return LossDilation(thermal_probs(env_mean, n_env), x)
+
+
 def apply_thermal_loss(state, mode, ch, max_offset=None):
     """Thermal loss ``ch`` on one mode via its beamsplitter dilation.
 
@@ -158,6 +182,7 @@ def apply_thermal_loss(state, mode, ch, max_offset=None):
     The environment input is truncated where its thermal tail drops below
     1e-10; output photons above the mode's own cutoff are dropped, which is
     the only other truncation (trace is preserved up to those tails).
+    ``ch`` is a channel or a ``LossDilation`` for at least d levels.
 
     x[j, n, k] = U_{n+k}[j, n] takes the mode from n to j photons with k in
     the environment.  Bra and ket shift together, so each offset t = n - n'
@@ -174,18 +199,8 @@ def apply_thermal_loss(state, mode, ch, max_offset=None):
         raise ValueError(f"max_offset must be nonnegative, got {max_offset}")
     d = state.dims[mode]
     band = d - 1 if max_offset is None else min(max_offset, d - 1)
-    if ch.kappa == 1.0:
-        occ = mode_occupations(state.dims)[:, mode]
-        return FockOperator(state.dims, np.where(abs(occ[:, None] - occ) <= band, state.data, 0))
-
-    env_mean = ch.n_b / (1.0 - ch.kappa)
-    n_env = 1 if env_mean == 0.0 else max(1, math.ceil(
-        math.log(1e-10) / math.log(env_mean / (env_mean + 1.0))))
-    tau = thermal_probs(env_mean, n_env)
-    amp = beamsplitter_corners(ch.kappa, d, d + n_env - 1)
-    levels = np.arange(d)  # k runs innermost, along the sums over it
-    x = amp[levels[:, None] + np.arange(n_env), levels[:, None, None], levels[:, None]]
-    del amp  # freed before the result is allocated
+    loss = ch if isinstance(ch, LossDilation) else loss_dilation(ch, d)
+    x, tau = loss.x[:d, :d], loss.tau
 
     axes = (mode, len(state.dims) + mode)
     rho = np.moveaxis(state.data.reshape(state.dims + state.dims), axes, (0, 1))

@@ -6,6 +6,7 @@ against a stated tolerance.  ``run_all`` powers the command-line ``verify``
 subcommand; the acceptance test suite asserts on the same results.
 """
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -93,10 +94,10 @@ def check_complementary_total_count():
 _LOSS, _ENERGY = ThermalLossChannel(0.8, 0.5), 0.1
 
 
-def _lossy_tmsv(cutoff, max_offset=None):
-    """The TMSV at ``cutoff`` levels per mode after ``_LOSS`` on its signal."""
+def _lossy_tmsv(cutoff, loss, max_offset=None):
+    """The TMSV at ``cutoff`` levels per mode after ``loss`` (``_LOSS`` or its dilation)."""
     return fock_oracle.apply_thermal_loss(
-        fock_oracle.tmsv_state(_ENERGY, cutoff), 0, _LOSS, max_offset)
+        fock_oracle.tmsv_state(_ENERGY, cutoff), 0, loss, max_offset)
 
 
 def _random_state(dims, seed):
@@ -108,29 +109,29 @@ def _random_state(dims, seed):
     return fock_oracle.FockOperator(dims, rho / np.trace(rho).real)
 
 
-def check_fock_diagonal_vs_dilation():
+def check_fock_diagonal_vs_dilation(loss=_LOSS):
     """Number-kernel construction vs beamsplitter dilation, element by element."""
     cutoff = 20
     probs = phase_encoding.fock_diagonal(_ENERGY, _LOSS).probs[:cutoff, :cutoff]
-    dense = np.real(np.diag(_lossy_tmsv(cutoff, 0).data)).reshape(cutoff, cutoff)
+    dense = np.real(np.diag(_lossy_tmsv(cutoff, loss, 0).data)).reshape(cutoff, cutoff)
     worst = float(np.abs(probs - dense[:probs.shape[0], :probs.shape[1]]).max())
     return CheckResult("joint Fock diagonal vs dilation", worst, 0.0, 1e-8)
 
 
-def check_phase_average_diagonality():
+def check_phase_average_diagonality(loss=_LOSS):
     """Uniform phase randomization of the signal leaves no off-diagonal elements.
 
     Averaging over 64 equally spaced phases multiplies rho[n, n'] by
     sum_k exp(2 pi i k (n - n')/64)/64 = [n = n'] as the signal cutoff d = 12 < 64,
     a projection that on a TMSV through signal loss equals the total-number one.
     """
-    avg = fock_oracle.apply_dephasing(_lossy_tmsv(12)).data
+    avg = fock_oracle.apply_dephasing(_lossy_tmsv(12, loss)).data
     off = avg - np.diag(np.diag(avg))
     return CheckResult("phase-averaged state diagonality",
                        float(np.abs(off).max()), 0.0, 1e-10)
 
 
-def check_discrete_phase_holevo():
+def check_discrete_phase_holevo(loss=_LOSS):
     """Holevo information of a 64-phase ensemble vs the continuous formula.
 
     Every member is a unitary phase rotation of ``lossy`` and has its
@@ -138,7 +139,7 @@ def check_discrete_phase_holevo():
     64, so the average is exactly the projection onto fixed signal numbers.
     On a TMSV through signal loss that equals the total-number projection.
     """
-    lossy = _lossy_tmsv(14)
+    lossy = _lossy_tmsv(14, loss)
     chi_dense = (fock_oracle.von_neumann_entropy(fock_oracle.apply_dephasing(lossy))
                  - fock_oracle.von_neumann_entropy(lossy))
     chi = phase_encoding.holevo_phase_encoding(_ENERGY, _LOSS)
@@ -171,13 +172,13 @@ def check_symplectic_occupations():
                        float(worst), 0.0, 1e-9)
 
 
-def check_covariance_vs_dilation():
+def check_covariance_vs_dilation(loss=_LOSS):
     """Second moments of the dilation output vs the closed-form matrix.
 
     Moments weight the truncation tail by n^2, so this check needs a larger
     cutoff than the element-wise ones to reach its tolerance.
     """
-    cm = fock_oracle.two_mode_covariance(_lossy_tmsv(28, 2))  # moments shift by <= 2
+    cm = fock_oracle.two_mode_covariance(_lossy_tmsv(28, loss, 2))  # moments shift by <= 2
     ref = phase_encoding.tmsv_through_loss(_ENERGY, _LOSS)
     return CheckResult("covariance matrix vs dilation",
                        float(np.abs(cm - ref).max()), 0.0, 1e-8)
@@ -186,10 +187,11 @@ def check_covariance_vs_dilation():
 def check_loss_dephasing_commutation():
     """Thermal loss on each mode commutes with collective dephasing."""
     state = _random_state((5, 5), 7)
+    loss = fock_oracle.loss_dilation(ThermalLossChannel(0.7, 0.3), 5)  # for all four maps
 
     def loss_both(s):
         for mode in (0, 1):
-            s = fock_oracle.apply_thermal_loss(s, mode, ThermalLossChannel(0.7, 0.3))
+            s = fock_oracle.apply_thermal_loss(s, mode, loss)
         return s
 
     a = fock_oracle.apply_dephasing(loss_both(state)).data
@@ -235,5 +237,8 @@ _ALL_CHECKS = (
 
 
 def run_all():
-    """Run every cross-check; an exception from any of them ends the run."""
-    return [check() for check in _ALL_CHECKS]
+    """Run every cross-check; an exception from any of them ends the run.  The
+    four that take an argument share one dilation of ``_LOSS``, at their top cutoff."""
+    loss = fock_oracle.loss_dilation(_LOSS, 28)  # the covariance check's cutoff
+    return [check(loss) if inspect.signature(check).parameters else check()
+            for check in _ALL_CHECKS]

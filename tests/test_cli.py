@@ -1058,6 +1058,27 @@ class TestEntryPoint:
                 assert checks.check(op, output, reference[op.key]) > 0, op.key
                 assert len(tracer.spans) > 1, op.key  # layers below the op's own span
 
+    def test_traced_verify_counts_each_map_and_check(self, monkeypatch):
+        # the loss checks share one dilation per run, yet every map and every
+        # check stays one span of its own layer, as the per-layer metrics read them
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+
+        import dephcap
+        tables, corners = [], dephcap.fock_oracle.beamsplitter_corners
+        monkeypatch.setattr(dephcap.fock_oracle, "beamsplitter_corners",
+                            lambda *args: tables.append(args) or corners(*args))
+        tracer = spans.Tracer()
+        with tracer.installed(dephcap), tracer.op("verify"), redirect_stdout(StringIO()):
+            assert cli.main(["verify"]) == 0
+        assert len(tables) == 3  # the wrapped checks still get the shared dilation
+        totals = spans.layer_totals(tracer.spans)
+        assert totals["fock_oracle.apply_thermal_loss"]["calls"] == 9
+        checks = {name: t["calls"] for name, t in totals.items()
+                  if name.startswith("verification.")}
+        assert checks == {"verification." + fn.__name__.removeprefix("check_"): 1
+                          for fn in verification._ALL_CHECKS}
+
     def test_oracle_imports_no_closed_form_module(self):
         code = "\n".join([
             "import sys, dephcap.fock_oracle",

@@ -192,9 +192,11 @@ class TestThermalLossOracle:
         assert np.abs(diag[2:]).max() <= 1e-12
 
     def test_lossless_channel_is_the_identity(self):
+        # its dilation is x[j, n, 0] = [j = n] with a vacuum environment, so
+        # each offset product multiplies by an identity matrix: exact
         st = _thermal_state(0.4, 8)
         out = fo.apply_thermal_loss(st, 0, ThermalLossChannel(1.0))
-        np.testing.assert_allclose(out.data, st.data, atol=1e-13)
+        assert np.array_equal(out.data, st.data)
 
     def test_trace_preserved_and_mean_evolves(self):
         st = _thermal_state(0.3, 40)
@@ -301,6 +303,47 @@ class TestOffsetProducts:
         assert n_env == 1163
         got = fo.apply_thermal_loss(st, 0, ch).data
         assert np.abs(got - want).max() <= np.finfo(float).eps
+
+
+class TestSharedDilation:
+    # verify's three channels, fig3's noisiest and the lossless one, on each
+    # mode of a product state, mapped through a dilation built for 7 levels
+    @pytest.mark.parametrize("kappa, n_b", [
+        (0.8, 0.5), (0.7, 0.3), (0.6, 0.4), (0.8, 10.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("k", [None, 0, 2])
+    def test_a_larger_dilation_maps_as_the_modes_own(self, kappa, n_b, mode, k):
+        factors = [_random_state((d,), seed).data for d, seed in ((4, 1), (5, 2), (3, 3))]
+        st = fo.FockOperator((4, 5, 3), np.kron(np.kron(*factors[:2]), factors[2]))
+        ch = ThermalLossChannel(kappa, n_b)
+        shared, own = fo.loss_dilation(ch, 7), fo.loss_dilation(ch, st.dims[mode])
+        d = st.dims[mode]
+        assert np.array_equal(shared.tau, own.tau)
+        assert np.array_equal(shared.x[:d, :d], own.x)
+        want = fo.apply_thermal_loss(st, mode, ch, k).data
+        assert np.array_equal(fo.apply_thermal_loss(st, mode, shared, k).data, want)
+        assert np.array_equal(fo.apply_thermal_loss(st, mode, own, k).data, want)
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.0])
+    def test_a_smaller_dilation_is_refused(self, kappa):
+        small = fo.loss_dilation(ThermalLossChannel(kappa), 4)
+        with pytest.raises(ValueError):
+            fo.apply_thermal_loss(_random_state((5, 5), 7), 0, small)
+
+    # the environment of n_b = 1e6 takes about 1.15e8 levels, and at 1e300
+    # its mean rounds q = mean / (mean + 1) to 1: both are refused from the
+    # level count alone, before any table is allocated
+    @pytest.mark.parametrize("n_b", [1e6, 1e300])
+    def test_a_table_above_the_bound_is_refused_unbuilt(self, n_b):
+        st, ch = fo.tmsv_state(0.1, 20), ThermalLossChannel(0.8, n_b)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="B of corner table and .* B of gather"):
+                fo.apply_thermal_loss(st, 0, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDtype:

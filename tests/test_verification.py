@@ -13,6 +13,7 @@ from dephcap.verification import (_ALL_CHECKS, CheckResult,
                                   check_covariance_vs_dilation,
                                   check_discrete_phase_holevo,
                                   check_fock_diagonal_vs_dilation,
+                                  check_loss_dephasing_commutation,
                                   check_phase_average_diagonality,
                                   check_symplectic_occupations,
                                   check_trace_preservation,
@@ -101,11 +102,22 @@ def test_symplectic_check_makes_one_eigenvalue_call(monkeypatch):
 
 
 def test_each_run_builds_its_own_corner_tables(monkeypatch):
-    # nine lossy maps, one corner table each, and none kept for the next run
+    # nine lossy maps over three channels, one corner table per channel at
+    # its largest cutoff, and none kept for the next run
     calls, corners = [], fo.beamsplitter_corners
     monkeypatch.setattr(fo, "beamsplitter_corners",
                         lambda *args: calls.append(args) or corners(*args))
     for _ in range(2):
         calls.clear()
         verification.run_all()
-        assert len(calls) == 9
+        assert calls == [(0.8, 28, 96), (0.7, 5, 38), (0.6, 24, 57)]
+
+
+def test_checks_alone_equal_their_entries_in_run_all():
+    # alone, each builds its own dilation at its own cutoff; in run_all the
+    # _LOSS checks read the leading part of one built at 28 levels
+    results = dict(zip(_ALL_CHECKS, verification.run_all()))
+    for check in (check_fock_diagonal_vs_dilation, check_phase_average_diagonality,
+                  check_discrete_phase_holevo, check_covariance_vs_dilation,
+                  check_loss_dephasing_commutation):
+        assert check() == results[check]
