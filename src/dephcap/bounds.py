@@ -10,8 +10,10 @@ under collective dephasing; the command line forms those bounds.
 H(N) of a wide law (mean mE at least 13 standard deviations above 30) is a
 175-node trapezoid over Loader's form of its pmf, whatever m and E; a narrow
 law, at most about 312 (E+1) terms across, is summed by scan_from_ratios.
+A sweep's sequence of m has its wide laws integrated as rows of one array.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +61,8 @@ def thermal_total_photon_dist(m, energy):
 # its left edge is at least 30 photons, where stirling_remainder is exact
 _NODES_PER_SIGMA = 6
 _WIDE_SPAN = (-13, 16)
+# most wide laws per array: 5000 laws in blocks of 64 peak at 2.5 MB traced
+_BLOCK_ROWS = 64
 
 
 def _log_nb_pmf(m, energy, offset):
@@ -77,7 +81,7 @@ def _log_nb_pmf(m, energy, offset):
 
 
 def _entropy_wide(m, energy):
-    """(entropy in bits, mean, variance) of a law with mE - 13 sigma >= 30.
+    """Entropy in bits of each law of a 1-D array m of shapes with mE - 13 sigma >= 30.
 
     A trapezoid with step h = sigma/6 over [mE - 13 sigma, mE + 16 sigma]
     of the continuous law, which matches the sum over integers to about
@@ -85,50 +89,67 @@ def _entropy_wide(m, energy):
     H = ln S - h sum p ln p / S cancels any constant offset in ln P, and S
     must be 1 to 1e-12: one guard on ln P, h and the sum-to-integral step.
     The integer tails beyond both edges are certified as the scan's are.
+    Laws are rows; the guards, tails, moment check and the three dot products
+    run per row, in order, as a matrix product would round them differently.
     """
-    mean, sigma = m * energy, math.sqrt(m * energy * (energy + 1.0))
+    mean, sigma = m * energy, np.sqrt(m * energy * (energy + 1.0))
     z = np.arange(_WIDE_SPAN[0] * _NODES_PER_SIGMA,
                   _WIDE_SPAN[1] * _NODES_PER_SIGMA + 1) / _NODES_PER_SIGMA
-    edges = np.array([np.ceil(mean + _WIDE_SPAN[0] * sigma),
-                      np.floor(mean + _WIDE_SPAN[1] * sigma)])
-    (lo, hi), (off_lo, off_hi) = edges, edges - mean
-    log_p = _log_nb_pmf(m, energy, np.concatenate((z * sigma, (off_lo, off_hi))))
-    p = np.exp(log_p[:-2])
+    edges = np.stack((np.ceil(mean + _WIDE_SPAN[0] * sigma),
+                      np.floor(mean + _WIDE_SPAN[1] * sigma)), axis=1)
+    offsets = edges - mean[:, None]
+    log_p = _log_nb_pmf(m[:, None], energy, np.hstack((sigma[:, None] * z, offsets)))
+    p = np.exp(log_p[:, :-2])
     h = sigma / _NODES_PER_SIGMA
-    total = h * float(p.sum())
-    if not abs(total - 1.0) <= 1e-12:
-        raise SolverError(f"negative-binomial trapezoid mass {total} misses 1")
-    ratio = _negative_binomial_ratio(m, energy)
-    p_lo, p_hi = np.exp(log_p[-2:]) / total
-    # 1 - ratio from each edge's offset to mE, which keeps its digits where
-    # the ratio rounds to 1 (E >~ 1e13 at m = 1e7) and overflows no earlier
-    # than sigma^2
-    gaps = ((-off_lo - energy) / energy / (lo - 1.0 + m),
-            (off_hi + energy + 1.0) / (energy + 1.0) / (hi + 1.0))
-    if (_geometric_tail(p_lo, 1.0 / ratio(lo - 1.0), gaps[0]) is None
-            or _geometric_tail(p_hi, ratio(hi), gaps[1]) is None):
-        raise SolverError(f"negative-binomial tails beyond [{lo:.17g}, "
-                          f"{hi:.17g}] are not certified")
-    first, second = float(z @ p) * h / total, float((z * z) @ p) * h / total
-    return ((math.log(total) - h * float(p @ log_p[:-2]) / total) / LN2,
-            mean + sigma * first, sigma * sigma * (second - first * first))
+    totals = h * p.sum(axis=1)
+    entropies = []
+    for x, sd, step, total, (lo, hi), (off_lo, off_hi), row, log_row in zip(
+            m.tolist(), sigma.tolist(), h.tolist(), totals.tolist(), edges, offsets, p, log_p):
+        if not abs(total - 1.0) <= 1e-12:
+            raise SolverError(f"negative-binomial trapezoid mass {total} misses 1")
+        ratio = _negative_binomial_ratio(x, energy)
+        p_lo, p_hi = np.exp(log_row[-2:]) / total
+        # 1 - ratio from each edge's offset to mE, which keeps its digits where
+        # the ratio rounds to 1 (E >~ 1e13 at m = 1e7) and overflows no earlier
+        # than sigma^2
+        gaps = ((-off_lo - energy) / energy / (lo - 1.0 + x),
+                (off_hi + energy + 1.0) / (energy + 1.0) / (hi + 1.0))
+        if (_geometric_tail(p_lo, 1.0 / ratio(lo - 1.0), gaps[0]) is None
+                or _geometric_tail(p_hi, ratio(hi), gaps[1]) is None):
+            raise SolverError(f"negative-binomial tails beyond [{lo:.17g}, "
+                              f"{hi:.17g}] are not certified")
+        first, second = float(z @ row) * step / total, float((z * z) @ row) * step / total
+        _check_moments(x * energy + sd * first, sd * sd * (second - first * first), x, energy)
+        entropies.append((math.log(total) - step * float(row @ log_row[:-2]) / total) / LN2)
+    return entropies
+
+
+def _is_wide(m, energy):
+    return m * energy + _WIDE_SPAN[0] * math.sqrt(m * energy * (energy + 1.0)) >= 30.0
 
 
 def entropy_total_exact(m, energy):
-    """Entropy in bits of the total-count negative-binomial law.
+    """Entropy in bits of the total-count negative-binomial law of m modes.
 
-    A wide law is integrated by _entropy_wide from 177 terms; a narrow one
-    is streamed over its scan_from_ratios window in O(chunk) memory.
+    A scalar m gives a float, a sequence one float per member in order, all
+    validated before any law is evaluated.  Consecutive wide laws go to
+    _entropy_wide, _BLOCK_ROWS at a time, 177 terms each; a narrow one is
+    streamed over its scan_from_ratios window in O(chunk) memory.
     """
-    m, energy = check_block(m, energy, integer=False)
-    sigma = math.sqrt(m * energy * (energy + 1.0))
-    if m * energy + _WIDE_SPAN[0] * sigma >= 30.0:
-        entropy, mean, variance = _entropy_wide(m, energy)
-    else:
-        window = scan_from_ratios(_negative_binomial_ratio(m, energy))
-        entropy, mean, variance = window.entropy, window.mean, window.variance
-    _check_moments(mean, variance, m, energy)
-    return entropy
+    single = np.ndim(m) == 0
+    shapes = [check_block(x, energy, integer=False)[0] for x in ([m] if single else m)]
+    entropies = []
+    for wide, run in itertools.groupby(shapes, lambda x: _is_wide(x, energy)):
+        run = list(run)
+        if wide:
+            for start in range(0, len(run), _BLOCK_ROWS):
+                entropies += _entropy_wide(np.array(run[start:start + _BLOCK_ROWS]), energy)
+            continue
+        for x in run:
+            window = scan_from_ratios(_negative_binomial_ratio(x, energy))
+            _check_moments(window.mean, window.variance, x, energy)
+            entropies.append(window.entropy)
+    return entropies[0] if single else entropies
 
 
 def entropy_total_asym(m, energy):

@@ -6,8 +6,8 @@ exhausted memory), 3 I/O failure.  A nonzero exit prints one ``error:`` line
 on stderr, and nothing on stdout but ``verify``'s check lines.
 
 Output is deterministic for a given flag set: rows are emitted in grid
-order and every float is formatted at 12 significant digits.  Sweep points
-run on a thread pool (capped by DEPH_NUM_THREADS) and are kept in grid order.
+order and every float is formatted at 12 significant digits.  A sweep runs
+one contiguous chunk of its grid per pool worker (capped by DEPH_NUM_THREADS).
 
 Each command imports the numerical modules it uses in its own body, so the
 closed-form thermal-loss commands and --help start without numpy.
@@ -56,11 +56,13 @@ def _n_workers():
 def _parallel_map(func, items):
     items = list(items)
     workers = min(_n_workers(), max(1, len(items)))
-    if workers == 1 or len(items) == 1:
-        return [func(it) for it in items]
+    if workers == 1:
+        return func(items)
+    cuts = [len(items) * k // workers for k in range(workers + 1)]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+        parts = pool.map(func, [items[a:b] for a, b in zip(cuts, cuts[1:])])
+        return [row for part in parts for row in part]
 
 
 # Most points one sweep evaluates, counted before any list is built
@@ -107,13 +109,14 @@ def parse_mode_grid(spec):
     return [10.0 ** (lo + j / per_dec) for j in range(n_steps + 1)]
 
 
-def _entropies(bounds, m, energy):
-    """(exact, asymptotic) entropy in bits of an m-mode block's total count.
+def _entropies(bounds, grid, energy):
+    """(exact, asymptotic) entropy in bits of the total count of each m in grid.
 
     Every dephased lower bound per mode is R - H/m, with R the assisted
     capacity (also the upper bound) or the phase-encoding rate chi.
     """
-    return bounds.entropy_total_exact(m, energy), bounds.entropy_total_asym(m, energy)
+    return list(zip(bounds.entropy_total_exact(grid, energy),
+                    [bounds.entropy_total_asym(m, energy) for m in grid]))
 
 
 def _write(text, out):
@@ -198,7 +201,8 @@ def cmd_fig2(energy, m_max, out):
     rep = thermal_loss.capacity_report(ThermalLossChannel(1.0, 0.0), energy)
     ea, baseline_one = rep.ea, rep.hsw  # hsw is g(E) without loss
     points = _parallel_map(
-        lambda m: (dephasing_exact.solve_dephasing(m, energy), _entropies(bounds, m, energy)),
+        lambda ms: list(zip([dephasing_exact.solve_dephasing(m, energy) for m in ms],
+                            _entropies(bounds, ms, energy))),
         range(1, m_max + 1))
     # solve_dephasing reports total bits over the block, the bounds per-mode
     # bits; every ratio is per mode over g(E)
@@ -249,7 +253,7 @@ def cmd_fig3(kappa, energy, modes, out_dir, nb=_FIG3_NB):
         chi = phase_encoding.holevo_phase_encoding(energy, ch)
         curves.append((rep.hsw, rep.ea, chi))
     # the total-count entropies do not depend on the noise level: one each
-    entropies = _parallel_map(lambda m: _entropies(bounds, m, energy), grid)
+    entropies = _parallel_map(lambda ms: _entropies(bounds, ms, energy), grid)
     # every curve passed its guards above, before the first file is written
     tables = [[(m, ea / hsw, (ea - h_exact / m) / hsw, (ea - h_asym / m) / hsw,
                 (chi - h_exact / m) / hsw, (chi - h_asym / m) / hsw)
@@ -270,7 +274,7 @@ def cmd_bounds(kappa, nb, energy, modes, out, fmt):
     grid = parse_mode_grid(modes)
     rep = thermal_loss.capacity_report(ThermalLossChannel(kappa, nb), energy)
     upper, baseline = rep.ea, rep.hsw
-    entropies = _parallel_map(lambda m: _entropies(bounds, m, energy), grid)
+    entropies = _parallel_map(lambda ms: _entropies(bounds, ms, energy), grid)
     rows = [(m, upper, upper - h_exact / m, upper - h_asym / m, h_exact, h_asym,
              baseline) for m, (h_exact, h_asym) in zip(grid, entropies)]
     if fmt == "json":
@@ -295,7 +299,7 @@ def cmd_phase_encoding(kappa, nb, energy, modes, out, fmt):
     mode_rows = None
     if modes is not None:
         grid = parse_mode_grid(modes)
-        entropies = _parallel_map(lambda m: _entropies(bounds, m, energy), grid)
+        entropies = _parallel_map(lambda ms: _entropies(bounds, ms, energy), grid)
         mode_rows = [(m, chi - h_exact / m, chi - h_asym / m)
                      for m, (h_exact, h_asym) in zip(grid, entropies)]
     if fmt == "json":

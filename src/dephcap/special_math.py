@@ -94,7 +94,7 @@ def check_block(m, energy, integer=True):
     """Validated (m, E) of an m-mode block at mean photon number E per mode.
 
     ``m`` must be a positive integer of at most MAX_MODES and is returned as
-    int; with ``integer=False`` any real m >= 1 is accepted and returned as
+    int; with ``integer=False`` any finite m >= 1 is accepted and returned as
     float, so log-spaced mode grids stay exact.  ``energy`` must pass
     check_photons.
     """
@@ -104,8 +104,8 @@ def check_block(m, energy, integer=True):
         if not float(m).is_integer() or m < 1:
             raise ValueError(f"mode count must be a positive integer, got {m}")
         m = int(m)
-    elif m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    elif not 1 <= m < math.inf:  # NaN too
+        raise ValueError(f"mode count must be >= 1 and finite, got {m}")
     else:
         m = float(m)
     return m, check_photons(energy)

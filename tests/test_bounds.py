@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
@@ -278,7 +279,83 @@ def test_wide_route_matches_the_scan(log_m, log_energy):
     m, energy = 10.0 ** log_m, 10.0 ** log_energy
     assume(_is_wide(m, energy) and 24.0 * math.sqrt(m * energy * (energy + 1.0)) <= 2e5)
     want = scan_from_ratios(bounds._negative_binomial_ratio(m, energy)).entropy
-    assert bounds._entropy_wide(m, energy)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert bounds._entropy_wide(np.array([m]), energy)[0] == pytest.approx(
+        want, rel=1e-13, abs=0.0)
+
+
+_SHUFFLED = np.random.default_rng(0).permutation(np.geomspace(1.0, 1e7, 120)).tolist()
+
+
+def _one_law_trapezoid(m, energy):
+    """The wide route's entropy of one law, from 1-D arrays and its own dot product."""
+    sigma = math.sqrt(m * energy * (energy + 1.0))
+    log_p = bounds._log_nb_pmf(m, energy, np.arange(-78, 97) / 6.0 * sigma)
+    p, h = np.exp(log_p), sigma / 6.0
+    total = h * float(p.sum())
+    return (math.log(total) - h * float(p @ log_p) / total) / LN2
+
+
+class TestBatch:
+    """A sequence of m gives, bit for bit, what its members give one at a time."""
+
+    @pytest.mark.parametrize("energy, grid", [
+        (1e-3, np.geomspace(1.0, 1e7, 150)),  # narrow up to m ~ 2e5
+        (1.0, np.geomspace(1.0, 1e7, 150)),  # 94 wide laws: two blocks
+        (1.0, _SHUFFLED),  # narrow and wide members interleaved
+        (10.0, np.geomspace(1e3, 1e7, 200)),
+        (1e14, [200.0, 1e4, 1e7]),  # (1e7, 1e14) takes the edge-gap route
+        (1e100, np.geomspace(200.0, 1e7, 70)),
+        (1.0, [1e7]),
+        (1.0, [18]),
+    ], ids=["E1e-3", "E1", "E1-shuffled", "E10", "E1e14", "E1e100", "one-wide",
+            "one-narrow"])
+    def test_batch_equals_single_points(self, energy, grid):
+        grid = list(grid)
+        assert entropy_total_exact(grid, energy) == [
+            entropy_total_exact(m, energy) for m in grid]
+
+    @pytest.mark.parametrize("energy", [1e-3, 1.0, 10.0, 1e14, 1e100])
+    def test_each_wide_row_is_its_one_law_trapezoid(self, energy):
+        # a matrix product over the rows would round the sums differently
+        grid = [m for m in np.geomspace(200.0, 1e7, 150).tolist() if _is_wide(m, energy)]
+        assert len(grid) > bounds._BLOCK_ROWS // 2
+        assert entropy_total_exact(grid, energy) == [
+            _one_law_trapezoid(m, energy) for m in grid]
+
+    def test_empty_batch(self):
+        assert entropy_total_exact([], 1.0) == []
+
+    def test_wide_laws_run_in_blocks(self, monkeypatch):
+        blocks, wide = [], bounds._entropy_wide
+        monkeypatch.setattr(bounds, "_entropy_wide",
+                            lambda m, energy: blocks.append(m.size) or wide(m, energy))
+        grid = np.geomspace(1.0, 1e7, 150)
+        entropy_total_exact(grid, 1.0)
+        n_wide = sum(_is_wide(m, 1.0) for m in grid)
+        assert blocks == [bounds._BLOCK_ROWS, n_wide - bounds._BLOCK_ROWS]
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_a_bad_member_fails_before_any_law(self, bad, monkeypatch):
+        with pytest.raises(ValueError) as single:
+            entropy_total_exact(bad, 1.0)
+        for name in ("_entropy_wide", "scan_from_ratios"):
+            monkeypatch.setattr(bounds, name, None)  # calling either fails
+        with pytest.raises(ValueError) as batch:
+            entropy_total_exact([18, 1e7, bad, 1e3], 1.0)
+        assert str(batch.value) == str(single.value)
+        assert str(single.value).endswith(f"got {bad}")
+
+    def test_memory_stays_at_one_block(self):
+        # 5000 wide laws in blocks of 64 peaked at 2.5 MB; as one array of
+        # 5000 rows they would take 7 MB per array
+        grid = np.geomspace(1e3, 1e7, 5000)
+        tracemalloc.start()
+        try:
+            entropy_total_exact(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestEntropyAsym:

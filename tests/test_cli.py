@@ -505,13 +505,23 @@ class TestFig2Command:
             assert row[1] <= row[4] + 1e-12  # exact below upper bound
             assert row[4] == pytest.approx(2.0, abs=1e-12)
 
-    def test_deterministic_across_worker_counts(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("DEPH_NUM_THREADS", "1")
-        assert cli.main(["fig2", "--out", str(a)]) == 0
-        monkeypatch.setenv("DEPH_NUM_THREADS", "7")
-        assert cli.main(["fig2", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["fig2"],
+        ["bounds", "-k", "0.8", "-E", "1", "-m", "1e1:1e7:50/dec"],
+        ["fig3", "-m", "1e1:1e7:20/dec"],
+    ], ids=["fig2", "bounds", "fig3"])
+    def test_deterministic_across_worker_counts(self, argv, tmp_path, monkeypatch,
+                                                capsys):
+        # each worker count cuts the grid, and so its runs of wide laws, apart
+        # at other points
+        outputs = []
+        for workers in ("1", "2", "7"):
+            monkeypatch.setenv("DEPH_NUM_THREADS", workers)
+            out_dir = tmp_path / workers
+            assert cli.main(argv + ["--out-dir", str(out_dir)] * (argv[0] == "fig3")) == 0
+            files = sorted(out_dir.iterdir()) if out_dir.exists() else []
+            outputs.append((capsys.readouterr().out, [f.read_bytes() for f in files]))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_bad_worker_count_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEPH_NUM_THREADS", "notanumber")
@@ -586,8 +596,10 @@ class TestFig3Command:
             grid = cli.parse_mode_grid(grid)
         calls = {"entropy_total_exact": [], "entropy_total_asym": []}
         for name, seen in calls.items():
-            def counted(m, energy, entropy=getattr(bounds, name), seen=seen):
-                seen.append(m)
+            def counted(m, energy, entropy=getattr(bounds, name), seen=seen,
+                        chunked=name == "entropy_total_exact"):
+                # the exact entropy takes one chunk of the grid per call
+                seen.extend(m if chunked else [m])
                 return entropy(m, energy)
             monkeypatch.setattr(bounds, name, counted)
         if argv[0] == "fig3":
