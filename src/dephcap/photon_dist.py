@@ -37,15 +37,13 @@ class Window(NamedTuple):
     """The certified window n = offset..cutoff of a ratio law, and its moments.
 
     ``tail_bound`` bounds the mass outside the window, ``mode`` is the term
-    the walk anchors at, and the entropy (in bits), mean and variance are
-    taken over the window.
+    the walk anchors at, and the mean and variance are taken over the window.
     """
 
     offset: int
     cutoff: int
     mode: int
     tail_bound: float
-    entropy: float
     mean: float
     variance: float
 
@@ -61,12 +59,10 @@ def scan_from_ratios(ratio):
     reach, up to 1e7 terms.  Each walk multiplies and sums the terms x_n
     (x = 1 at the mode) over one anchored chunk about the mode, then _CHUNK
     at a time outward from its edges, so no window is stored.
-    H = ln S - sum x ln x / S with S = 1 + sum_{n != mode} x_n adds two
-    nonnegative terms and rounds no mass near 1 to 1.
     """
     mode = _mode(ratio)
     if ratio(mode) == 0.0:
-        return Window(0, 0, 0, 0.0, 0.0, 0.0, 0.0)
+        return Window(0, 0, 0, 0.0, 0.0, 0.0)
     # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
     # per step, and a geometric tail decays at rate -ln ratio(mode)
     fall = math.log(ratio(mode) / ratio(mode + 1))
@@ -80,7 +76,7 @@ def scan_from_ratios(ratio):
         if hi - lo + 1 > _MAX_WINDOW:
             raise SolverError(
                 f"tail certification still open at a window of {_MAX_WINDOW} terms")
-        # sums over n != mode of x, x ln x, (n-mode) x, (n-mode)^2 x: first
+        # sums over n != mode of x, (n-mode) x, (n-mode)^2 x: first
         # over one anchored chunk of up to _CHUNK terms about the mode, then
         # outward from its edge terms where the window is wider
         a = max(lo, min(mode - _CHUNK // 2, hi + 1 - _CHUNK))
@@ -98,49 +94,44 @@ def scan_from_ratios(ratio):
                 x = np.cumprod(f)
                 edges[sign] = x[-1]
                 sums += _chunk_sums(sign * d, x)
-        rest, xlnx, first, second = map(float, sums)
+        rest, first, second = map(float, sums)
         total = 1.0 + rest
         tails = (_geometric_tail(edges[-1] / total, 1.0 / ratio(lo - 1)) if lo > 0 else 0.0,
                  _geometric_tail(edges[1] / total, ratio(hi)))
         if None not in tails:
             shift = first / total
             return Window(lo, hi, mode, tails[0] + tails[1],
-                          (math.log1p(rest) - xlnx / total) / LN2,
                           mode + shift, second / total - shift * shift)
         left, right = (2 * left if tails[0] is None else left,
                        2 * right if tails[1] is None else right)
 
 
 def _chunk_sums(d, x):
-    """Sums of x, x ln x, d x and d^2 x over terms x at offsets d from the mode."""
-    return x.sum(), x @ np.log(np.maximum(x, 5e-324)), d @ x, (d * d) @ x
+    """Sums of x, d x and d^2 x over terms x at offsets d from the mode."""
+    return x.sum(), d @ x, (d * d) @ x
 
 
-def _geometric_tail(p, ratio, gap=None):
+def _geometric_tail(p, ratio):
     """Certified mass beyond an edge term ``p``, or None while that side is short.
 
     With the terms beyond the edge bounded by p r^k, k = 1, 2, ..., for a
     ratio r < 1, the tail mass is at most p r/(1-r) and its entropy at most
-    [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p.  ``gap`` is 1 - r where the caller
-    forms it without rounding r, and then ln r = log1p(-gap).  A side is
-    short while r >= 1 (the edge has not passed the mode), or while its mass
-    exceeds half of the 1e-12 or its entropy half of the 1e-11 bits that a
-    window may omit.
+    [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p.  A side is short while r >= 1 (the
+    edge has not passed the mode), or while its mass exceeds half of the
+    1e-12 or its entropy half of the 1e-11 bits that a window may omit.
     """
-    if not (ratio < 1.0 if gap is None else gap > 0.0):
+    if not ratio < 1.0:
         return None
     if p < 1e-304:
         # also covers an edge term that underflowed to 0, where ln(p) fails;
-        # r/(1-r) is below 1e16 where 1 - r is computed, and below about
-        # sigma < 1.4e154 at a wide law's edges: such a tail is below 1e-150
+        # r/(1-r) is below 1e16 where 1 - r is computed: such a tail is below
+        # 1e-288
         return 0.0
-    if gap is None:
-        gap, log_ratio = 1.0 - ratio, math.log(ratio)
-    else:
-        log_ratio = math.log1p(-gap)
+    gap = 1.0 - ratio
     geo = ratio / gap
     mass = p * geo
-    entropy = p * (max(-math.log(p), 0.0) * geo - log_ratio * geo / gap) / LN2
+    # no window reports its entropy: the budget is kept so no window moves
+    entropy = p * (max(-math.log(p), 0.0) * geo - math.log(ratio) * geo / gap) / LN2
     if mass > 0.5 * _TAIL_MASS or entropy > 0.5 * _TAIL_ENTROPY_BITS:
         return None
     return mass

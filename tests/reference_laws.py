@@ -56,16 +56,25 @@ def optimal_outside(m, lam, lo, hi):
         return float(1 - mp.fsum(_optimal_terms(m, lam, lo, hi)))
 
 
+def negative_binomial_entropy(m, energy):
+    """H in bits of the negative binomial, from scipy's law over all but 1e-25 of each tail.
+
+    Each omitted tail carries under 1e-22 bits.  The entries are divided by
+    their sum, which cancels a common relative error in them.
+    """
+    law = stats.nbinom(m, 1.0 / (energy + 1.0))
+    p = law.pmf(np.arange(law.ppf(1e-25), law.isf(1e-25) + 1.0))
+    p = p[p > 0.0] / p.sum()
+    return float(-p @ np.log2(p))
+
+
 def window_sums(lo, probs):
-    """(entropy in bits, mean, variance) of ``probs`` at n = lo, lo+1, ..., renormalized.
+    """(mean, variance) of ``probs`` at n = lo, lo+1, ..., renormalized.
 
     What a certified window's sums stand for: the law over the window,
     divided by its mass there.
     """
     p = probs / probs.sum()
     d = np.arange(p.size, dtype=float)
-    nz = p[p > 0.0]
     shift = float(d @ p)
-    return (float(-nz @ np.log2(nz)), lo + shift,
-            float(((d - shift) ** 2) @ p))
-
+    return lo + shift, float(((d - shift) ** 2) @ p)

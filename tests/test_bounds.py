@@ -13,10 +13,11 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from reference_laws import (
     negative_binomial,
+    negative_binomial_entropy,
     negative_binomial_outside,
     scipy_energy,
     window_sums,
@@ -30,7 +31,6 @@ from dephcap.bounds import (
 )
 from dephcap.dephasing_exact import solve_dephasing
 from dephcap.errors import SolverError
-from dephcap.photon_dist import scan_from_ratios
 from dephcap.scalar_math import LN2, thermal_entropy_g
 from dephcap.thermal_loss import ThermalLossChannel, ea_capacity, hsw_capacity
 
@@ -78,6 +78,13 @@ ENTROPY_HUGE_E_REFS = {
 }
 # H(NB(18, 1)) at 40 digits, by direct summation over n < 2000
 ENTROPY_M18_E1 = 4.6011350428202001866
+# H(NB(m, E)) in bits, from _mp_entropy at 60 digits with its reach raised to
+# 60: at m = 1 it is g(E) to 1.3e-27
+ENTROPY_LARGE_E_REFS = {
+    (1, 3e5): 19.63730042053599449007389887003262078128,
+    (1, 1e6): 21.37426433156041749001028793333945336271,
+    (3, 1e9): 32.56284520926134295208929323598851382121,
+}
 ENTROPY_ASYM_1E5 = 5.369744667154956690786
 LOWER_M20_LOSSLESS = 3.765984257119098704468
 EA_08_10_0001 = 0.0007394223764090147909
@@ -92,7 +99,6 @@ class TestTotalPhotonLaw:
     def test_single_mode_is_geometric(self):
         window = thermal_total_photon_dist(1, 1.0)
         assert window.offset == 0
-        assert window.entropy == pytest.approx(2.0, rel=1e-13)  # g(1)
         assert (window.mean, window.variance) == pytest.approx((1.0, 2.0), rel=1e-13)
 
     def test_zero_probability_of_vacuum_two_modes(self):
@@ -100,8 +106,7 @@ class TestTotalPhotonLaw:
         law = negative_binomial(2, 1.0, window.offset, window.cutoff)
         assert window.offset == 0
         assert law[0] == pytest.approx(0.25, rel=1e-14)
-        assert (window.entropy, window.mean, window.variance) == pytest.approx(
-            window_sums(0, law), rel=1e-13)
+        assert (window.mean, window.variance) == pytest.approx(window_sums(0, law), rel=1e-13)
 
     @pytest.mark.parametrize("n, want", sorted(NB_SPOT_REFS.items()))
     def test_reference_entries_at_large_mode_count(self, n, want):
@@ -124,7 +129,7 @@ class TestTotalPhotonLaw:
         energy = scipy_energy(energy)
         window = thermal_total_photon_dist(m, energy)
         law = negative_binomial(m, energy, window.offset, window.cutoff)
-        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+        assert (window.mean, window.variance) == pytest.approx(
             window_sums(window.offset, law), rel=1e-13)
 
     @pytest.mark.parametrize("m, energy",
@@ -137,7 +142,7 @@ class TestTotalPhotonLaw:
         assert window.tail_bound <= 1e-12
 
     def test_zero_energy_is_point_mass(self):
-        assert thermal_total_photon_dist(5, 0.0) == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
+        assert thermal_total_photon_dist(5, 0.0) == (0, 0, 0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("m", [0.5, 0.0, -3])
     def test_mode_count_below_one_rejected(self, m):
@@ -154,7 +159,7 @@ class TestEntropyExact:
 
     @pytest.mark.parametrize("energy", [1e2, 1e3, 1e4, 3e4])
     def test_many_chunk_walks_match_thermal_entropy(self, energy):
-        # the geometric law's window runs to about 250 chunks at E = 3e4
+        # geometric laws whose windows ran to about 250 chunks at E = 3e4
         with mp.workdps(50):
             e = mp.mpf(energy)
             want = (e + 1) * mp.log(e + 1, 2) - e * mp.log(e, 2)
@@ -172,10 +177,11 @@ class TestEntropyExact:
         assert entropy_total_exact(m, 1.0) == pytest.approx(
             ENTROPY_E1_FULL_SUPPORT[m], abs=1e-10)
 
-    @pytest.mark.parametrize("energy", [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-16])
+    @pytest.mark.parametrize("energy", [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-16, 1e-19,
+                                        1e-21, 1e-300])
     def test_single_mode_matches_mpmath_at_small_energy(self, energy):
-        # the law is geometric with P(0) = 1/(1+E), a mass within E of 1
-        # that must not be rounded to 1 before its -p log p is taken
+        # the law is geometric with P(0) = 1/(1+E), a mass within E of 1;
+        # below E = 1e-20 the closed form mE (1 - ln mE) nats answers
         with mp.workdps(50):
             e = mp.mpf(energy)
             want = float(((e + 1) * mp.log1p(e) - e * mp.log(e)) / mp.log(2))
@@ -183,7 +189,7 @@ class TestEntropyExact:
 
     @pytest.mark.parametrize("m, energy", [(1e7, 1.0), (1, 2e5)])
     def test_memory_stays_at_one_chunk(self, m, energy):
-        # (1, 2e5) sums a 9.6e6-term window, 77 MB as one float64 array
+        # (1, 2e5) has a 9.6e6-term window, 77 MB as one float64 array
         tracemalloc.start()
         try:
             entropy_total_exact(m, energy)
@@ -196,35 +202,18 @@ class TestEntropyExact:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-3.0, 1.0))
 def test_streamed_entropy_matches_the_reference_law(log_m, log_energy):
-    # the reference law over the certified window, renormalized as the walk is
+    # scipy's law over all but 1e-25 of each tail, where a window leaves out
+    # up to 1e-11 bits
     m, energy = 10.0 ** log_m, scipy_energy(10.0 ** log_energy)
-    window = thermal_total_photon_dist(m, energy)
-    want = window_sums(window.offset, negative_binomial(
-        m, energy, window.offset, window.cutoff))[0]
+    want = negative_binomial_entropy(m, energy)
     assert entropy_total_exact(m, energy) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def _is_wide(m, energy):
-    return m * energy - 13.0 * math.sqrt(m * energy * (energy + 1.0)) >= 30.0
-
-
-@pytest.fixture
-def scan_calls(monkeypatch):
-    """The term ratio of each law that entropy_total_exact sends to the scan."""
-    calls = []
-
-    def scan(ratio):
-        calls.append(ratio)
-        return scan_from_ratios(ratio)
-
-    monkeypatch.setattr(bounds, "scan_from_ratios", scan)
-    return calls
-
-
 class TestWideRoute:
+    """Laws of mean mE at least 13 standard deviations above 30."""
+
     @pytest.mark.parametrize("m, energy", sorted(ENTROPY_WIDE_REFS))
     def test_matches_the_40_digit_trapezoid(self, m, energy):
-        assert _is_wide(m, energy)
         assert entropy_total_exact(m, energy) == pytest.approx(
             ENTROPY_WIDE_REFS[m, energy], rel=1e-15, abs=0.0)
 
@@ -236,118 +225,192 @@ class TestWideRoute:
         assert entropy_total_exact(m, energy) == pytest.approx(
             ENTROPY_HUGE_E_REFS[m, energy], rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e7, 1.0), (1e7, 1e-3)])
-    def test_wide_law_runs_no_scan(self, m, energy, scan_calls):
-        entropy_total_exact(m, energy)
-        assert scan_calls == []
 
-    @pytest.mark.parametrize("m, energy", [(18, 1.0), (1e5, 1e-3)])
-    def test_narrow_law_keeps_the_scan(self, m, energy, scan_calls):
-        assert not _is_wide(m, energy)
-        entropy_total_exact(m, energy)
-        assert len(scan_calls) == 1
+def _mp_small(z, coef):
+    # sum_{k=2}^{8} coef(k) z^k: the rest is below 1e-60 of it for z < 1e-10
+    return z * z * mp.polyval([coef(k) for k in range(8, 1, -1)], z)
 
-    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e4, 1.0), (1e7, 1e-3)])
-    def test_a_coarse_step_fails_the_mass_guard(self, m, energy, monkeypatch):
-        # a step of sigma aliases 4e-9 to 7e-9 of mass into the trapezoid
-        assert _is_wide(m, energy)
-        monkeypatch.setattr(bounds, "_NODES_PER_SIGMA", 1)
-        with pytest.raises(SolverError, match="trapezoid mass"):
-            entropy_total_exact(m, energy)
 
-    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (1e4, 1.0), (1e7, 1e-3)])
-    def test_an_offset_log_pmf_fails_the_mass_guard(self, m, energy, monkeypatch):
-        assert _is_wide(m, energy)
-        log_pmf = bounds._log_nb_pmf
-        monkeypatch.setattr(bounds, "_log_nb_pmf",
-                            lambda *args: log_pmf(*args) + 1e-11)
-        with pytest.raises(SolverError, match="trapezoid mass"):
-            entropy_total_exact(m, energy)
+def _mp_integrand(m, energy, t):
+    """F(t) of entropy_total_exact at the working precision.
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a narrow law's scan may omit 1e-11 bits of tail entropy and reads "
-        "4.601135042818614, 3.4e-13 low (ROADMAP item 2)"))
+    A bracket that cancels more than 10 of its digits comes from its series.
+    """
+    e1 = -mp.expm1(-t)
+    if t < 1e-10:
+        s1 = _mp_small(t, lambda k: mp.mpf(-1) ** k / mp.factorial(k))
+        s2 = _mp_small(t, lambda k: mp.mpf(-1) ** k * (k - 1) / mp.factorial(k))
+    else:
+        s1, s2 = t - e1, e1 - t * mp.exp(-t)
+    x = energy * e1
+    dev = _mp_small(x, lambda k: mp.mpf(-1) ** k / k) if x < 1e-10 else x - mp.log1p(x)
+    b = m * mp.log1p(x)
+    b1 = -mp.expm1(-m * t) / t
+    return (mp.exp(-b) * -mp.expm1(-m * (energy * s1 + dev)) * b1
+            - mp.expm1(-b) * (s2 + mp.exp(-m * t) * s1) / (t * e1))
+
+
+def _mp_entropy(m, energy, dps=50, reach=40.0):
+    """H in bits: mp.quad of F over u = ln t, in Gauss-Legendre pieces at most 8 wide.
+
+    The ends are -ln(m (E+1)) - reach and reach + max(0, -ln mE); each omits
+    at most e^-reach of H.  F is divided by min(1, mE), which brings H to
+    order 1, since mp.quad stops at an absolute error of 10^-dps.
+    """
+    lo = -math.log(m) - math.log1p(energy) - reach
+    hi = reach + max(0.0, -math.log(m * energy))
+    with mp.workdps(dps):
+        m, energy = mp.mpf(m), mp.mpf(energy)
+        scale = min(1, m * energy)
+        nodes = mp.linspace(lo, hi, math.ceil((hi - lo) / 8.0) + 1)
+        return scale * mp.quad(lambda u: _mp_integrand(m, energy, mp.exp(u)) / scale, nodes,
+                               method="gauss-legendre") / mp.log(2)
+
+
+_BOUND_LAWS = [(1, 1.0), (18, 1.0), (1e7, 1e-3), (1e6, 10.0), (1e3, 1e100), (1e7, 1e-27)]
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("m, energy", [(18, 1.0), (2.5, 0.3), (1, 1e-3), (40, 1e-6)])
+    def test_reference_integral_matches_the_direct_sum(self, m, energy):
+        # -sum P ln P over n < 400 at 50 digits, the entropy _mp_entropy stands for;
+        # a reach of 80 omits less than 2e-35 of it
+        with mp.workdps(50):
+            mm, e = mp.mpf(m), mp.mpf(energy)
+            log_p = [mp.loggamma(n + mm) - mp.loggamma(mm) - mp.loggamma(n + 1)
+                     + n * mp.log(e) - (n + mm) * mp.log1p(e) for n in range(400)]
+            want = -mp.fsum(mp.exp(lp) * lp for lp in log_p) / mp.log(2)
+            assert abs(_mp_entropy(m, energy, reach=80.0) / want - 1) < 1e-30
+
+    def test_no_law_is_scanned(self, monkeypatch):
+        monkeypatch.setattr(bounds, "scan_from_ratios", None)  # calling it fails
+        entropy_total_exact([1, 18, 1e5, 1e7], 1e-3)
+
     def test_narrow_scan_at_m_18_matches_the_direct_sum(self):
+        # the scan that narrow laws took read 4.601135042818614, 3.4e-13 low
         assert entropy_total_exact(18, 1.0) == pytest.approx(
             ENTROPY_M18_E1, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("m, energy", sorted(ENTROPY_LARGE_E_REFS))
+    def test_laws_beyond_the_scan_cap(self, m, energy):
+        # windows of more than the scan's 1e7 terms
+        got = entropy_total_exact(m, energy)
+        assert got == pytest.approx(ENTROPY_LARGE_E_REFS[m, energy], rel=1e-13, abs=0.0)
+        if m == 1:
+            assert got == pytest.approx(thermal_entropy_g(energy), rel=1e-15, abs=0.0)
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-3.0, 3.0))
-def test_wide_route_matches_the_scan(log_m, log_energy):
-    # log-uniform m and E; wide laws whose scan stays below 2e5 terms
+    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (18, 1.0), (1e7, 1e-3), (1, 1e-19)])
+    def test_a_coarse_step_fails_the_guard(self, m, energy, monkeypatch):
+        # a step of 1/2 misses Frullani's integral by 1e-11 to 1e-9 relative
+        monkeypatch.setattr(bounds, "_STEP", 0.5)
+        with pytest.raises(SolverError, match="total-count integral reads"):
+            entropy_total_exact(m, energy)
+
+    @pytest.mark.parametrize("m, energy", [(1e6, 10.0), (18, 1.0), (1e7, 1e-3), (1, 1e-19)])
+    def test_an_offset_integrand_fails_the_guard(self, m, energy, monkeypatch):
+        # both integrands with their logs offset by 1e-11
+        integrands = bounds._integrands
+        monkeypatch.setattr(bounds, "_integrands", lambda *args: [
+            v * math.exp(1e-11) for v in integrands(*args)])
+        with pytest.raises(SolverError, match="total-count integral reads"):
+            entropy_total_exact(m, energy)
+
+    @pytest.mark.parametrize("m, energy", _BOUND_LAWS)
+    @pytest.mark.parametrize("step", [0.5, 0.75, 1.0])
+    def test_a_coarse_step_stays_within_its_stated_error(self, m, energy, step,
+                                                         monkeypatch):
+        # about exp(-pi^2/h) of H, times a constant that 150 random laws kept
+        # below 13 for h from 0.4 to 1; the step of 1/4 is the reference
+        want = entropy_total_exact(m, energy)
+        monkeypatch.setattr(bounds, "_STEP", step)
+        monkeypatch.setattr(bounds, "_GUARD_RTOL", math.inf)  # it refuses most
+        got = entropy_total_exact(m, energy)
+        assert abs(got - want) <= 20.0 * math.exp(-math.pi ** 2 / step) * want
+
+    @pytest.mark.parametrize("m, energy", _BOUND_LAWS)
+    @pytest.mark.parametrize("reach", [6.0, 10.0])
+    def test_short_ends_stay_within_their_stated_error(self, m, energy, reach,
+                                                       monkeypatch):
+        # F <= 1/t and F <= mEt + m^2 E(E+1) t^2/2 bound what each end omits;
+        # the reach of 38 is the reference
+        want = entropy_total_exact(m, energy)
+        monkeypatch.setattr(bounds, "_REACH", reach)
+        monkeypatch.setattr(bounds, "_GUARD_RTOL", math.inf)  # it refuses most
+        got = entropy_total_exact(m, energy)
+        omitted = math.exp(-reach) * (min(1.0, m * energy) + energy / (energy + 1.0)
+                                      * (1.0 + math.exp(-reach) / 4.0)) / LN2
+        assert 0.0 <= want - got <= omitted
+
+    def test_nodes_below_the_normal_floats_are_refused(self):
+        # m (E+1) above e^662 would put the left end below t = e^-700
+        with pytest.raises(SolverError, match=r"nodes below t = e\^-700"):
+            entropy_total_exact([18, 1e300], 1.0)
+
+    def test_tiny_mean_takes_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_entropy_block", None)  # calling it fails
+        for m, energy in [(1, 5e-324), (3, 1e-100), (1e7, 1e-28)]:
+            mean = m * energy
+            assert entropy_total_exact(m, energy) == mean * (1.0 - math.log(mean)) / LN2
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(log_m=hst.floats(0.0, 7.0), log_energy=hst.floats(-300.0, 150.0))
+@example(log_m=0.0, log_energy=-19.99)
+@example(log_m=7.0, log_energy=-27.01)
+def test_integral_matches_mpmath(log_m, log_energy):
+    # log-uniform m and E, and both sides of mE = 1e-20, below which the
+    # closed form answers, whose omitted terms are O(mE) relative
     m, energy = 10.0 ** log_m, 10.0 ** log_energy
-    assume(_is_wide(m, energy) and 24.0 * math.sqrt(m * energy * (energy + 1.0)) <= 2e5)
-    want = scan_from_ratios(bounds._negative_binomial_ratio(m, energy)).entropy
-    assert bounds._entropy_wide(np.array([m]), energy)[0] == pytest.approx(
-        want, rel=1e-13, abs=0.0)
+    want = _mp_entropy(m, energy)
+    assert entropy_total_exact(m, energy) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 _SHUFFLED = np.random.default_rng(0).permutation(np.geomspace(1.0, 1e7, 120)).tolist()
-
-
-def _one_law_trapezoid(m, energy):
-    """The wide route's entropy of one law, from 1-D arrays and its own dot product."""
-    sigma = math.sqrt(m * energy * (energy + 1.0))
-    log_p = bounds._log_nb_pmf(m, energy, np.arange(-78, 97) / 6.0 * sigma)
-    p, h = np.exp(log_p), sigma / 6.0
-    total = h * float(p.sum())
-    return (math.log(total) - h * float(p @ log_p) / total) / LN2
 
 
 class TestBatch:
     """A sequence of m gives, bit for bit, what its members give one at a time."""
 
     @pytest.mark.parametrize("energy, grid", [
-        (1e-3, np.geomspace(1.0, 1e7, 150)),  # narrow up to m ~ 2e5
-        (1.0, np.geomspace(1.0, 1e7, 150)),  # 94 wide laws: two blocks
-        (1.0, _SHUFFLED),  # narrow and wide members interleaved
+        (1e-3, np.geomspace(1.0, 1e7, 150)),  # three blocks
+        (1.0, np.geomspace(1.0, 1e7, 150)),
+        (1.0, _SHUFFLED),  # short and long node ranges interleaved
         (10.0, np.geomspace(1e3, 1e7, 200)),
-        (1e14, [200.0, 1e4, 1e7]),  # (1e7, 1e14) takes the edge-gap route
+        (1e14, [200.0, 1e4, 1e7]),
         (1e100, np.geomspace(200.0, 1e7, 70)),
         (1.0, [1e7]),
         (1.0, [18]),
+        (1e-22, _SHUFFLED),  # closed-form and integrated members interleaved
     ], ids=["E1e-3", "E1", "E1-shuffled", "E10", "E1e14", "E1e100", "one-wide",
-            "one-narrow"])
+            "one-narrow", "E1e-22-shuffled"])
     def test_batch_equals_single_points(self, energy, grid):
         grid = list(grid)
         assert entropy_total_exact(grid, energy) == [
             entropy_total_exact(m, energy) for m in grid]
 
-    @pytest.mark.parametrize("energy", [1e-3, 1.0, 10.0, 1e14, 1e100])
-    def test_each_wide_row_is_its_one_law_trapezoid(self, energy):
-        # a matrix product over the rows would round the sums differently
-        grid = [m for m in np.geomspace(200.0, 1e7, 150).tolist() if _is_wide(m, energy)]
-        assert len(grid) > bounds._BLOCK_ROWS // 2
-        assert entropy_total_exact(grid, energy) == [
-            _one_law_trapezoid(m, energy) for m in grid]
-
     def test_empty_batch(self):
         assert entropy_total_exact([], 1.0) == []
 
-    def test_wide_laws_run_in_blocks(self, monkeypatch):
-        blocks, wide = [], bounds._entropy_wide
-        monkeypatch.setattr(bounds, "_entropy_wide",
-                            lambda m, energy: blocks.append(m.size) or wide(m, energy))
-        grid = np.geomspace(1.0, 1e7, 150)
-        entropy_total_exact(grid, 1.0)
-        n_wide = sum(_is_wide(m, 1.0) for m in grid)
-        assert blocks == [bounds._BLOCK_ROWS, n_wide - bounds._BLOCK_ROWS]
+    def test_laws_run_in_blocks(self, monkeypatch):
+        blocks, block = [], bounds._entropy_block
+        monkeypatch.setattr(bounds, "_entropy_block",
+                            lambda m, energy: blocks.append(len(m)) or block(m, energy))
+        entropy_total_exact(np.geomspace(1.0, 1e7, 150), 1.0)
+        assert blocks == [bounds._BLOCK_ROWS] * 2 + [150 - 2 * bounds._BLOCK_ROWS]
 
     @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
     def test_a_bad_member_fails_before_any_law(self, bad, monkeypatch):
         with pytest.raises(ValueError) as single:
             entropy_total_exact(bad, 1.0)
-        for name in ("_entropy_wide", "scan_from_ratios"):
-            monkeypatch.setattr(bounds, name, None)  # calling either fails
+        monkeypatch.setattr(bounds, "_entropy_block", None)  # calling it fails
         with pytest.raises(ValueError) as batch:
             entropy_total_exact([18, 1e7, bad, 1e3], 1.0)
         assert str(batch.value) == str(single.value)
         assert str(single.value).endswith(f"got {bad}")
 
     def test_memory_stays_at_one_block(self):
-        # 5000 wide laws in blocks of 64 peaked at 2.5 MB; as one array of
-        # 5000 rows they would take 7 MB per array
+        # 5000 laws in blocks of 64 peak at 2.1 MB; as one array of 5000 rows
+        # they would take 15 MB per array
         grid = np.geomspace(1e3, 1e7, 5000)
         tracemalloc.start()
         try:

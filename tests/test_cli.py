@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dephcap import bounds, cli, dephasing_exact, phase_encoding, special_math, verification
+from dephcap.scalar_math import thermal_entropy_g
 from dephcap.verification import CheckResult
 
 
@@ -448,10 +449,11 @@ class TestLargeEnergies:
         ("capacity --thermal-loss -k 0.5 --nb 1e300 -E 1",
          "thermal-loss occupations overflow double precision at kappa=0.5, "
          "n_b=1e+300, E=1.0"),
-        # E/(E+1) rounds to 1, so every term ratio of the law is >= 1
-        ("bounds -k 1 -E 1e17 -m 1", "term ratios round to >= 1 up to n = 2^53")],
+        # m (E+1) above e^662 puts the entropy's left end below t = e^-700
+        ("bounds -k 1 -E 1 -m 1e300",
+         "total-count integral needs nodes below t = e^-700 (m = 1e+300, E = 1)")],
         ids=["capacity-E", "bounds-E", "capacity-nb1e100", "capacity-nb1e300",
-             "bounds-no-mode"])
+             "bounds-nodes-underflow"])
     def test_overflow_exits_two_with_one_line(self, capsys, argv, message):
         rc = cli.main(argv.split())
         captured = capsys.readouterr()
@@ -662,6 +664,27 @@ class TestBoundsCommand:
         assert rc == 0
         (rec,) = json.loads(capsys.readouterr().out)
         assert rec["upper"] >= rec["baseline"] >= 0.0
+
+
+    @pytest.mark.parametrize("argv, want", [
+        # H(NB(m, E)) at 40 digits, from 60-digit mpmath of the entropy's integral
+        ("-k 0.8 -E 3e5 -m 1", "19.63730042053599449007389887003262078128"),
+        ("-k 0.8 -E 1e6 -m 1", "21.37426433156041749001028793333945336271"),
+        ("-k 0.8 -E 1e9 -m 3", "32.56284520926134295208929323598851382121"),
+        # E/(E+1) rounds to 1, where the law has no mode to scan from; g(E)
+        ("-k 1 -E 1e17 -m 1", "57.91547265397412332836883018676634859863")],
+        ids=["E3e5", "E1e6", "E1e9-m3", "E1e17"])
+    def test_total_count_laws_beyond_the_scan_cap(self, argv, want, capsys):
+        # their windows would exceed the scan's 1e7 terms
+        rc = cli.main(["bounds", *argv.split(), "--format", "json"])
+        assert rc == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        m, energy = rec["m"], rec["energy"]
+        assert rec["entropy_exact"] == float(f"{float(want):.12g}")
+        got = bounds.entropy_total_exact(m, energy)
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+        if m == 1:
+            assert got == pytest.approx(thermal_entropy_g(energy), rel=1e-15, abs=0.0)
 
 
 class TestPhaseEncodingCommand:

@@ -66,12 +66,11 @@ class TestOptimalTotalDistribution:
         # power law amplifies by n; compare at a matching tolerance.
         window = optimal_total_distribution(1, solve_lambda(1, 1.0)[0])
         assert window.offset == 0
-        assert (window.entropy, window.mean, window.variance) == pytest.approx(
-            (2.0, 1.0, 2.0), rel=1e-11)
+        assert (window.mean, window.variance) == pytest.approx((1.0, 2.0), rel=1e-11)
 
     def test_zero_energy_is_point_mass(self):
         window = optimal_total_distribution(4, 0.0)
-        assert window == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
+        assert window == (0, 0, 0, 0.0, 0.0, 0.0)
 
     def test_tail_certification(self):
         lam = solve_lambda(2, 1.0)[0]
@@ -83,7 +82,7 @@ class TestOptimalTotalDistribution:
         lam = solve_lambda(2, 1.0)[0]
         window = optimal_total_distribution(2, lam)
         law = optimal_law(2, lam, window.offset, window.cutoff)
-        assert (window.entropy, window.mean, window.variance) == pytest.approx(
+        assert (window.mean, window.variance) == pytest.approx(
             window_sums(window.offset, law), rel=1e-13)
 
     @pytest.mark.parametrize("m, lam, message", [
@@ -136,7 +135,7 @@ class TestSolveDephasing:
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
         assert sol.window() == optimal_total_distribution(sol.m, sol.lambda1)
-        assert sol.window() == (0, 0, 0, 0.0, 0.0, 0.0, 0.0)
+        assert sol.window() == (0, 0, 0, 0.0, 0.0, 0.0)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):

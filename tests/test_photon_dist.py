@@ -64,9 +64,8 @@ def test_scan_sums_the_reference_law_over_its_window(m, lam):
         return ((n + m) / (n + 1.0)) ** 2 * lam
 
     window = scan_from_ratios(ratio)
-    entropy, mean, variance = window_sums(
+    mean, variance = window_sums(
         window.offset, optimal_law(m, lam, window.offset, window.cutoff))
-    assert window.entropy == pytest.approx(entropy, rel=1e-13, abs=0.0)
     assert window.mean == pytest.approx(mean, rel=1e-13, abs=0.0)
     assert window.variance == pytest.approx(variance, rel=1e-11, abs=0.0)
 
@@ -78,15 +77,14 @@ class TestTailRule:
         # mass 1.5e-13 is under half of 1e-12, entropy 6.75e-12 bits over half of 1e-11
         assert _geometric_tail(1e-13, 0.6) is None
 
-    @pytest.mark.parametrize("p, ratio, gap, mass", [
-        (1e-13, 0.5, None, 1e-13),  # entropy 4.5e-12 bits
-        (1e-20, 1.0, 1e-3, 1e-17),  # a ratio that rounds to 1, with its gap
-        (0.0, 0.9, None, 0.0)])  # an edge term that underflowed
-    def test_tail_within_both_budgets_is_certified(self, p, ratio, gap, mass):
-        assert _geometric_tail(p, ratio, gap) == pytest.approx(mass, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("p, ratio, mass", [
+        (1e-13, 0.5, 1e-13),  # entropy 4.5e-12 bits
+        (0.0, 0.9, 0.0)])  # an edge term that underflowed
+    def test_tail_within_both_budgets_is_certified(self, p, ratio, mass):
+        assert _geometric_tail(p, ratio) == pytest.approx(mass, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("p, ratio, gap", [
-        (1e-12, 0.5, None),  # mass over half of 1e-12
-        (1e-20, 1.0, None), (1e-20, 1.0, 0.0)])  # not past the mode
-    def test_short_side(self, p, ratio, gap):
-        assert _geometric_tail(p, ratio, gap) is None
+    @pytest.mark.parametrize("p, ratio", [
+        (1e-12, 0.5),  # mass over half of 1e-12
+        (1e-20, 1.0)])  # not past the mode
+    def test_short_side(self, p, ratio):
+        assert _geometric_tail(p, ratio) is None
