@@ -40,6 +40,10 @@ def _round_floats(obj):
     return obj
 
 
+# Most pool workers a sweep starts, one OS thread each
+MAX_WORKERS = 64
+
+
 def _n_workers():
     raw = os.environ.get("DEPH_NUM_THREADS")
     if raw is None:
@@ -48,8 +52,9 @@ def _n_workers():
         n = int(raw)
     except ValueError:
         n = 0
-    if n < 1:
-        raise ValueError(f"DEPH_NUM_THREADS must be a positive integer, got {raw!r}")
+    if not 1 <= n <= MAX_WORKERS:
+        raise ValueError(
+            f"DEPH_NUM_THREADS must be an integer from 1 to {MAX_WORKERS}, got {raw!r}")
     return n
 
 

@@ -96,8 +96,8 @@ def optimal_total_distribution(m, lam):
     """Certified window of the capacity-achieving total-photon-number law.
 
     ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  The
-    photon_dist.Window omits less than 1e-12 of the mass (and below 1e-11
-    bits of entropy) on both sides; see photon_dist.scan_from_ratios.
+    photon_dist.Window omits less than 1e-12 of the mass on both sides; see
+    photon_dist.scan_from_ratios.
     """
     m, _ = check_block(m, 0.0)
     return build_from_log_pmf(_optimal_ratio(m, check_weight(lam)))

@@ -6,12 +6,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SolverError
-from .scalar_math import LN2
 from .special_math import anchored_products
 
-# certified bounds on what a window leaves out, summed over both sides
+# certified bound on the mass a window leaves out, summed over both sides
 _TAIL_MASS = 1e-12
-_TAIL_ENTROPY_BITS = 1e-11
 # longest window walked before certification gives up
 _MAX_WINDOW = 10_000_000
 _CHUNK = 4096  # terms multiplied and summed per step of scan_from_ratios
@@ -36,13 +34,12 @@ def _mode(ratio):
 class Window(NamedTuple):
     """The certified window n = offset..cutoff of a ratio law, and its moments.
 
-    ``tail_bound`` bounds the mass outside the window, ``mode`` is the term
-    the walk anchors at, and the mean and variance are taken over the window.
+    ``tail_bound`` bounds the mass outside the window, and the mean and
+    variance are taken over the window.
     """
 
     offset: int
     cutoff: int
-    mode: int
     tail_bound: float
     mean: float
     variance: float
@@ -55,14 +52,14 @@ def scan_from_ratios(ratio):
     positive, nonincreasing and ending below 1; a ratio that is 0 at n = 0
     is the vacuum.  The window first reaches 12 widths (at least 64 terms)
     to each side of the mode, or from n = 0 when the left gap is no wider
-    than the window; a side that _geometric_tail finds short doubles its
-    reach, up to 1e7 terms.  Each walk multiplies and sums the terms x_n
-    (x = 1 at the mode) over one anchored chunk about the mode, then _CHUNK
-    at a time outward from its edges, so no window is stored.
+    than the window; a side whose mass _geometric_tail cannot yet bound
+    by 5e-13 doubles its reach, up to 1e7 terms.  Each walk multiplies and
+    sums the terms x_n (x = 1 at the mode) over one anchored chunk about the
+    mode, then _CHUNK at a time outward from its edges; no window is stored.
     """
     mode = _mode(ratio)
     if ratio(mode) == 0.0:
-        return Window(0, 0, 0, 0.0, 0.0, 0.0)
+        return Window(0, 0, 0.0, 0.0, 0.0)
     # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
     # per step, and a geometric tail decays at rate -ln ratio(mode)
     fall = math.log(ratio(mode) / ratio(mode + 1))
@@ -100,7 +97,7 @@ def scan_from_ratios(ratio):
                  _geometric_tail(edges[1] / total, ratio(hi)))
         if None not in tails:
             shift = first / total
-            return Window(lo, hi, mode, tails[0] + tails[1],
+            return Window(lo, hi, tails[0] + tails[1],
                           mode + shift, second / total - shift * shift)
         left, right = (2 * left if tails[0] is None else left,
                        2 * right if tails[1] is None else right)
@@ -115,23 +112,11 @@ def _geometric_tail(p, ratio):
     """Certified mass beyond an edge term ``p``, or None while that side is short.
 
     With the terms beyond the edge bounded by p r^k, k = 1, 2, ..., for a
-    ratio r < 1, the tail mass is at most p r/(1-r) and its entropy at most
-    [-ln(p) r/(1-r) - ln(r) r/(1-r)^2] p.  A side is short while r >= 1 (the
-    edge has not passed the mode), or while its mass exceeds half of the
-    1e-12 or its entropy half of the 1e-11 bits that a window may omit.
+    ratio r < 1, the tail mass is at most p r/(1-r).  A side is short while
+    r >= 1 (the edge has not passed the mode), or while that mass exceeds
+    half of the 1e-12 that a window may omit.
     """
     if not ratio < 1.0:
         return None
-    if p < 1e-304:
-        # also covers an edge term that underflowed to 0, where ln(p) fails;
-        # r/(1-r) is below 1e16 where 1 - r is computed: such a tail is below
-        # 1e-288
-        return 0.0
-    gap = 1.0 - ratio
-    geo = ratio / gap
-    mass = p * geo
-    # no window reports its entropy: the budget is kept so no window moves
-    entropy = p * (max(-math.log(p), 0.0) * geo - math.log(ratio) * geo / gap) / LN2
-    if mass > 0.5 * _TAIL_MASS or entropy > 0.5 * _TAIL_ENTROPY_BITS:
-        return None
-    return mass
+    mass = p * (ratio / (1.0 - ratio))
+    return None if mass > 0.5 * _TAIL_MASS else mass

@@ -13,27 +13,6 @@ import numpy as np
 from .scalar_math import check_photons
 
 
-def log_binomial(n, k):
-    """Natural log of the binomial coefficient C(n, k) for integer arguments.
-
-    Summed as sum_i ln((n-k+i)/i) over the smaller side of the coefficient,
-    which keeps the relative error at a few ulps even for n ~ 1e7 (a plain
-    lgamma difference loses digits to cancellation there).
-    """
-    for name, value in (("n", n), ("k", k)):
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value}")
-    n = int(n)
-    k = int(k)
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    k = min(k, n - k)
-    if k == 0:
-        return 0.0
-    i = np.arange(1, k + 1, dtype=float)
-    return float(np.log((n - k + i) / i).sum())
-
-
 _MASS_TOL = 1e-9
 
 
@@ -118,16 +97,15 @@ class SquaredBinomialSeries:
     certificate is involved.  The mean z d(ln S0)/dz is (2m-1) z/(1-z) plus
     the mean of the weights of Q, and the variance (its derivative in ln z)
     is (2m-1) z/(1-z)^2 plus their variance.  Q is summed as ratio products
-    anchored at its largest term.  What does not depend on z is built once:
-    the bases ((m-1-k)/(k+1))^2 of the term ratios of Q, and ln C(m-1, k) per
-    anchor k.
+    anchored at its largest term, whose log is the sum of the logs of the
+    ratios before it, all >= 1.  Only the bases ((m-1-k)/(k+1))^2 of those
+    ratios are built once, as they do not depend on z.
     """
 
     def __init__(self, m):
         self.m, _ = check_block(m, 0.0)
         k = np.arange(self.m - 1, dtype=float)
         self.bases = ((self.m - 1.0 - k) / (k + 1.0)) ** 2
-        self._log_binomials = {}  # ln C(m-1, k) by anchor k
 
     def at(self, z):
         """ln S0(z), mean and variance of the law at z."""
@@ -137,10 +115,9 @@ class SquaredBinomialSeries:
         ratios = self.bases * z
         top = ratios.size - int(ratios[::-1].searchsorted(1.0))  # ratios decrease in k
         w = anchored_products(ratios, top)
-        del ratios  # freed before ln C(m-1, top) and the moments allocate
-        log_c = self._log_binomials.get(top)
-        if log_c is None:
-            log_c = self._log_binomials[top] = log_binomial(m - 1, top)
+        # ln of Q's largest term C(m-1, top)^2 z^top, from the ratios before it
+        log_top = float(np.log(ratios[:top], out=ratios[:top]).sum())
+        del ratios  # freed before the moments allocate
         w[top] = 0.0  # Q = 1 + rest: log1p(rest) keeps the (m-1)^2 z of Q at tiny z
         rest = float(w.sum())
         w[top] = 1.0
@@ -149,7 +126,7 @@ class SquaredBinomialSeries:
         mean_q = float(k @ w) / total
         k -= mean_q
         var_q = float(np.square(k, out=k) @ w) / total
-        log_q = math.log1p(rest) + 2.0 * log_c + top * math.log(z)
+        log_q = math.log1p(rest) + log_top
         geo = (2 * m - 1) * z / (1.0 - z)
         return ((1 - 2 * m) * math.log1p(-z) + log_q,
                 geo + mean_q,

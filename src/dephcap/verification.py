@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dephasing_exact, fock_oracle, phase_encoding
 from .scalar_math import thermal_entropy_g
-from .special_math import log_binomial, squared_binomial_law
+from .special_math import squared_binomial_law
 from .thermal_loss import ThermalLossChannel, _intermediates
 
 
@@ -56,7 +56,7 @@ def _optimal_joint_weights(m, lam, patterns):
     """
     log_norm, log_lam = squared_binomial_law(m, lam)[0], math.log(lam)
     totals, shell = np.unique([sum(pattern) for pattern in patterns], return_inverse=True)
-    return np.array([math.exp(log_binomial(n + m - 1, m - 1) + n * log_lam - log_norm)
+    return np.array([math.exp(math.log(math.comb(n + m - 1, m - 1)) + n * log_lam - log_norm)
                      for n in totals.tolist()])[shell]
 
 

@@ -142,7 +142,7 @@ class TestTotalPhotonLaw:
         assert window.tail_bound <= 1e-12
 
     def test_zero_energy_is_point_mass(self):
-        assert thermal_total_photon_dist(5, 0.0) == (0, 0, 0, 0.0, 0.0, 0.0)
+        assert thermal_total_photon_dist(5, 0.0) == (0, 0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("m", [0.5, 0.0, -3])
     def test_mode_count_below_one_rejected(self, m):

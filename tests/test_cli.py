@@ -532,6 +532,22 @@ class TestFig2Command:
         assert cli.main(["fig2", "--out", str(tmp_path / "y.csv")]) == 1
         capsys.readouterr()
 
+    def test_worker_count_above_the_cap_exits_one_before_any_pool(self, monkeypatch,
+                                                                   capsys):
+        # 1e6 workers on a 1e5-point grid would start 1e5 threads; none may start
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was constructed")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("DEPH_NUM_THREADS", "1000000")
+        assert cli.main(["fig2", "--m-max", "100000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1
+        assert f"from 1 to {cli.MAX_WORKERS}" in err
+
 
 def _exact_ratio_two_modes(energy):
     """fig2's exact ratio at m = 2 from 50-digit mpmath.

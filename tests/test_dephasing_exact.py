@@ -70,16 +70,19 @@ class TestOptimalTotalDistribution:
 
     def test_zero_energy_is_point_mass(self):
         window = optimal_total_distribution(4, 0.0)
-        assert window == (0, 0, 0, 0.0, 0.0, 0.0)
+        assert window == (0, 0, 0.0, 0.0, 0.0)
 
-    def test_tail_certification(self):
-        lam = solve_lambda(2, 1.0)[0]
+    # E = 100: a heavy tail, whose window the mass-only certificate sizes
+    @pytest.mark.parametrize("energy", [1.0, 100.0])
+    def test_tail_certification(self, energy):
+        lam = solve_lambda(2, energy)[0]
         window = optimal_total_distribution(2, lam)
         assert window.tail_bound <= 1e-12
         assert optimal_outside(2, lam, window.offset, window.cutoff) <= window.tail_bound
 
-    def test_window_sums_the_analytic_law(self):
-        lam = solve_lambda(2, 1.0)[0]
+    @pytest.mark.parametrize("energy", [1.0, 100.0])
+    def test_window_sums_the_analytic_law(self, energy):
+        lam = solve_lambda(2, energy)[0]
         window = optimal_total_distribution(2, lam)
         law = optimal_law(2, lam, window.offset, window.cutoff)
         assert (window.mean, window.variance) == pytest.approx(
@@ -135,7 +138,7 @@ class TestSolveDephasing:
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
         assert sol.window() == optimal_total_distribution(sol.m, sol.lambda1)
-        assert sol.window() == (0, 0, 0, 0.0, 0.0, 0.0)
+        assert sol.window() == (0, 0, 0.0, 0.0, 0.0)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):

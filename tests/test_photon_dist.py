@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from reference_laws import (
     negative_binomial,
     negative_binomial_outside,
@@ -10,6 +12,8 @@ from reference_laws import (
     window_sums,
 )
 
+from dephcap.bounds import thermal_total_photon_dist
+from dephcap.dephasing_exact import solve_dephasing
 from dephcap.errors import SolverError
 from dephcap.photon_dist import _geometric_tail, scan_from_ratios
 
@@ -71,16 +75,13 @@ def test_scan_sums_the_reference_law_over_its_window(m, lam):
 
 
 class TestTailRule:
-    """A side is short while r >= 1 or its bound exceeds half of either budget."""
-
-    def test_entropy_budget_keeps_a_light_tail_short(self):
-        # mass 1.5e-13 is under half of 1e-12, entropy 6.75e-12 bits over half of 1e-11
-        assert _geometric_tail(1e-13, 0.6) is None
+    """A side is short while r >= 1 or its mass bound exceeds half of 1e-12."""
 
     @pytest.mark.parametrize("p, ratio, mass", [
-        (1e-13, 0.5, 1e-13),  # entropy 4.5e-12 bits
+        (1e-13, 0.5, 1e-13),
+        (1e-13, 0.6, 1.5e-13),
         (0.0, 0.9, 0.0)])  # an edge term that underflowed
-    def test_tail_within_both_budgets_is_certified(self, p, ratio, mass):
+    def test_tail_within_the_budget_is_certified(self, p, ratio, mass):
         assert _geometric_tail(p, ratio) == pytest.approx(mass, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p, ratio", [
@@ -88,3 +89,16 @@ class TestTailRule:
         (1e-20, 1.0)])  # not past the mode
     def test_short_side(self, p, ratio):
         assert _geometric_tail(p, ratio) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=hst.integers(1, 20), log_energy=hst.floats(-3.0, 4.0))
+@example(m=2, log_energy=2.0)
+@example(m=1, log_energy=4.0)
+@example(m=20, log_energy=-3.0)
+def test_mass_certified_windows_keep_their_moment_guards(m, log_energy):
+    # both raise ContractViolation past their guards: the negative binomial's
+    # mean and variance to 1e-9, and the optimal law's mean to 1e-9 of m E
+    energy = 10.0 ** log_energy
+    for window in (thermal_total_photon_dist(m, energy), solve_dephasing(m, energy).window()):
+        assert window.tail_bound <= 1e-12

@@ -15,16 +15,16 @@ from dephcap.scalar_math import thermal_entropy_g
 from dephcap.special_math import (
     MAX_MODES,
     check_block,
-    log_binomial,
     shannon_entropy,
     squared_binomial_law,
 )
 
 G_OF_TEN = 4.83446685613664633949
-LOG_BINOM_1E6_500 = 4296.300049745916891604
 
-# ln 2F1(m, m; 1; z) from mpmath.hyp2f1 (direct hypergeometric summation,
-# not the Euler polynomial) at 50 significant digits.
+# ln 2F1(m, m; 1; z) at 50 significant digits: to m = 20000 from
+# mpmath.hyp2f1 (direct hypergeometric summation, not the Euler polynomial);
+# at m = 1e6 and 1e7 as (1-2m) ln(1-z) + ln Q from _laplace_log_q, with the
+# float z taken exactly.
 LOG_HYP2F1_REFS = {
     (50, 0.25): 65.75481725652898328546001,
     (50, 0.8): 219.4289174066125662643646,
@@ -32,7 +32,29 @@ LOG_HYP2F1_REFS = {
     (2000, 0.8): 8986.159381607579737970204,
     (20000, 0.25): 27719.32341322071916453122,
     (20000, 0.8): 89925.76745018035779368878,
+    (10**6, 1e-6): 1996.280339669484598842507,
+    (10**6, 0.25): 1386285.841279304122255142,
+    (10**6, 0.99): 10591602.4116784687609005,
+    (10**7, 0.25): 13862933.94006540756956845,
 }
+
+
+def _laplace_log_q(m, z):
+    """ln Q(z) of the Euler polynomial from Laplace's integral, in mpmath.
+
+    Q = (1/pi) int_0^pi (1 + z + 2 sqrt(z) cos t)^(m-1) dt, whose integrand
+    peaks at t = 0 with width (1 + sqrt z)/sqrt((m-1) sqrt z); the quadrature
+    breaks at 1 to 64 such widths.  An independent route to ln Q where the
+    polynomial has too many terms to sum in mpmath.
+    """
+    n, z = m - 1, mp.mpf(z)
+    r = mp.sqrt(z)
+    peak = 2 * mp.log1p(r)  # ln of the integrand's largest value, per power
+    width = (1 + r) / mp.sqrt(n * r)
+    points = [0] + [k * width for k in (1, 2, 4, 8, 16, 32, 64) if k * width < mp.pi]
+    integral = mp.quad(lambda t: mp.exp(n * (mp.log(1 + z + 2 * r * mp.cos(t)) - peak)),
+                       points + [mp.pi])
+    return n * peak + mp.log(integral / mp.pi)
 
 
 def _s0_closed(m, z):
@@ -88,35 +110,6 @@ class TestThermalEntropy:
     def test_invalid_mean_rejected(self, n):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             thermal_entropy_g(n)
-
-
-class TestLogBinomial:
-    def test_trivial_coefficients(self):
-        assert log_binomial(0, 0) == 0.0
-        assert log_binomial(5, 0) == 0.0
-        assert log_binomial(5, 5) == 0.0
-
-    def test_three_choose_one(self):
-        assert log_binomial(3, 1) == pytest.approx(math.log(3.0), rel=1e-15)
-
-    def test_large_arguments_against_exact_integer(self):
-        # math.comb is exact big-integer arithmetic, an independent oracle.
-        want = math.log(math.comb(10**6, 500))
-        got = log_binomial(1e6, 500)
-        assert got == pytest.approx(want, rel=1e-13)
-        assert got == pytest.approx(LOG_BINOM_1E6_500, rel=1e-13)
-
-    def test_symmetry(self):
-        assert log_binomial(40, 13) == pytest.approx(log_binomial(40, 27), rel=1e-14)
-
-    @pytest.mark.parametrize("n, k", [(3, 4), (-1, 0), (5, -2)])
-    def test_out_of_range_rejected(self, n, k):
-        with pytest.raises(ValueError):
-            log_binomial(n, k)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            log_binomial(5.5, 2)
 
 
 class TestCheckBlock:
@@ -195,6 +188,22 @@ class TestSquaredBinomialSeries:
     @pytest.mark.parametrize("m, z", sorted(LOG_HYP2F1_REFS))
     def test_large_mode_counts_match_mpmath(self, m, z):
         assert _log_s0(m, z) == pytest.approx(LOG_HYP2F1_REFS[m, z], rel=1e-13)
+
+    @pytest.mark.parametrize("m, z", [(2, 0.3), (50, 0.25), (2000, 0.8), (5000, 1e-6),
+                                      (5000, 0.99)])
+    def test_laplace_integral_matches_the_polynomial(self, m, z):
+        # the references' route against the exact sum of Q's m terms
+        with mp.workdps(50):
+            exact = mp.log(mp.fsum(mp.binomial(m - 1, k) ** 2 * mp.mpf(z) ** k
+                                   for k in range(m)))
+            assert abs(_laplace_log_q(m, z) - exact) <= mp.mpf(10) ** -40 * abs(exact)
+
+    @pytest.mark.parametrize("m, z", [key for key in sorted(LOG_HYP2F1_REFS) if key[0] >= 10**6])
+    def test_laplace_references_are_reproduced(self, m, z):
+        with mp.workdps(50):
+            log_s0 = (1 - 2 * m) * mp.log1p(-mp.mpf(z)) + _laplace_log_q(m, z)
+            # the constant is the 50-digit value rounded once to a double
+            assert abs(log_s0 - LOG_HYP2F1_REFS[m, z]) <= 2.0 ** -53 * LOG_HYP2F1_REFS[m, z]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("z", [0.2, 0.5, 0.8])

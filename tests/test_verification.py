@@ -87,9 +87,8 @@ def test_banded_checks_read_nothing_outside_their_band(check, monkeypatch):
 
 def test_optimal_weights_are_computed_once_per_shell(monkeypatch):
     # the MI check's 351 patterns have 26 distinct totals, 0 to 25
-    calls, log_binomial = [], verification.log_binomial
-    monkeypatch.setattr(verification, "log_binomial",
-                        lambda *args: calls.append(args) or log_binomial(*args))
+    calls, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
     check_two_mode_optimal_input_mi()
     assert len(calls) == 26
 
