@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, SolverError
-from .photon_dist import scan_from_ratios
+from .errors import SolverError
+from .photon_dist import PhotonLaw, build_from_log_pmf
 from .scalar_math import LN2
 from .special_math import check_block
 
@@ -25,34 +25,25 @@ from .special_math import check_block
 GAUSSIAN_ENTROPY_FACTOR = math.sqrt(2.0 * math.pi * math.e)
 
 
-def _negative_binomial_ratio(m, energy):
-    # exact term ratios P(n+1)/P(n) = (n+m) q / (n+1): their products keep each
-    # entry at ~1e-13 relative, where gammaln differences overrun the 1e-12
-    # mass window once m reaches ~1e4
+def _negative_binomial_law(m, energy):
+    """The photon_dist.PhotonLaw C(n+m-1, m-1) E^n / (E+1)^(n+m) of a checked (m, E)."""
     q = energy / (energy + 1.0)
-    return lambda n: (n + m) / (n + 1.0) * q
-
-
-def _check_moments(mean, variance, m, energy):
-    for name, got, want in (("mean", mean, m * energy),
-                            ("variance", variance, m * energy * (energy + 1.0))):
-        if abs(got - want) > 1e-9 * want:
-            raise ContractViolation(f"negative-binomial {name} {got} misses {want}")
+    if energy >= 1.0:  # ln q to a few ulp, where 1 - q has lost E's digits
+        log_q = -math.log1p(1.0 / energy)
+    else:
+        log_q = math.log(q) if q > 0.0 else -math.inf  # q = 0 is the vacuum
+    return PhotonLaw(m, 1, q, log_q, m * math.log1p(energy))
 
 
 def thermal_total_photon_dist(m, energy):
     """Certified window of the total photon number of m thermal modes of mean E.
 
-    Negative binomial: P(n) = C(n+m-1, m-1) E^n / (E+1)^(n+m), with mean m E
-    and variance m E (E+1); both moments are re-verified on its
-    scan_from_ratios window to 1e-9 relative as a guard on the certification.
+    Negative binomial: P(n) = C(n+m-1, m-1) E^n / (E+1)^(n+m), whose window
+    photon_dist.build_from_log_pmf finds on the closed form.
     """
     # real-valued m >= 1 is accepted so log-spaced mode grids stay exact;
     # the negative-binomial law is well defined for any positive shape
-    m, energy = check_block(m, energy, integer=False)
-    window = scan_from_ratios(_negative_binomial_ratio(m, energy))
-    _check_moments(window.mean, window.variance, m, energy)
-    return window
+    return build_from_log_pmf(_negative_binomial_law(*check_block(m, energy, integer=False)))
 
 
 # entropy_total_exact's trapezoid in u = ln t: its step, its reach past the

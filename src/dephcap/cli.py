@@ -155,7 +155,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
         if grid:
             raise ValueError("this command takes a single mode count, not a grid")
         sol = dephasing_exact.solve_dephasing(m, energy)  # refuses m > MAX_MODES
-        window = sol.window()  # one walk of the optimal law, none of it stored
+        window = sol.window()
         report = {
             "channel": {"kind": "pure-dephasing", "modes": sol.m, "energy": energy},
             "ea_total": sol.capacity,
@@ -164,7 +164,7 @@ def cmd_capacity(pure_deph, thermal, kappa, nb, energy, modes, out):
             "ratio": sol.unassisted_ratio,
             "intermediates": {
                 "lambda1": sol.lambda1,
-                "mean_achieved": window.mean,
+                "mean_achieved": sol.mean,
                 "support": window.cutoff,
                 "tail_bound": window.tail_bound,
             },

@@ -12,23 +12,21 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
-from .photon_dist import scan_from_ratios
+from .photon_dist import PhotonLaw, build_from_log_pmf
 from .scalar_math import LN2, thermal_entropy_g
-from .special_math import SquaredBinomialSeries, check_block, check_weight
+from .special_math import SquaredBinomialSeries, check_block
 
-# perfbench/spans.py traces these two layers under their former names: the
-# series' evaluations at one lambda each, and the law's walk.  It reads .probs
-# from optimal_total_distribution and bounds.thermal_total_photon_dist, so
-# window() and entropy_total_exact never call them by name (ROADMAP item 1b)
+# perfbench/spans.py traces the series' evaluations under this former name.  It
+# reads .probs from optimal_total_distribution and bounds.thermal_total_photon_dist,
+# so window() and entropy_total_exact never call them by name (ROADMAP item 1b)
 _squared_series_logs = SquaredBinomialSeries.at
-build_from_log_pmf = scan_from_ratios
 
 _MEAN_RTOL = 1e-10
 _MAX_ITER = 100
 
 
 def solve_lambda(m, energy):
-    """(lambda, ln S0(lambda)) of the optimal total-photon-number law.
+    """(lambda, ln S0(lambda), mean) of the optimal total-photon-number law.
 
     The mean of the law P(n) ~ C(n+m-1, m-1)^2 lambda^n is strictly
     increasing in lambda, with derivative d(mean)/d(ln lambda) = variance,
@@ -36,13 +34,13 @@ def solve_lambda(m, energy):
     variance.  The mean is at least (2m-1) lambda/(1-lambda), so the root
     lies in the bracket (0, T/(T+2m-1)] for target mean T = m E; every
     evaluation narrows the bracket, and a Newton step that leaves it is
-    replaced by bisection.  One series serves every step, and ln S0 is the
-    last step's, at the lambda returned.  Verified to reproduce the target
-    mean to 1e-10 relative.
+    replaced by bisection.  One series serves every step, and ln S0 and the
+    mean are the last step's, at the lambda returned; the mean is verified
+    to reproduce the target m E to 1e-10 relative.
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     target = m * energy
     lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
     if hi == 1.0:  # no float is left between the root and the series' pole
@@ -84,12 +82,12 @@ def solve_lambda(m, energy):
         raise SolverError(
             f"solved lambda={lam} reproduces mean {mean} instead of "
             f"{target} (m={m}, E={energy})")
-    return lam, log_s0
+    return lam, log_s0, mean
 
 
-def _optimal_ratio(m, lam):
-    """Exact term ratio ((n+m)/(n+1))^2 lambda of the optimal law."""
-    return lambda n: ((n + m) / (n + 1.0)) ** 2 * lam
+def _optimal_law(m, lam, log_s0):
+    """The photon_dist.PhotonLaw C(n+m-1, m-1)^2 lambda^n / S0(lambda)."""
+    return PhotonLaw(m, 2, lam, math.log(lam) if lam > 0.0 else -math.inf, log_s0)
 
 
 def optimal_total_distribution(m, lam):
@@ -97,29 +95,30 @@ def optimal_total_distribution(m, lam):
 
     ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  The
     photon_dist.Window omits less than 1e-12 of the mass on both sides; see
-    photon_dist.scan_from_ratios.
+    photon_dist.build_from_log_pmf.  ln S0(lambda) is one series evaluation.
     """
-    m, _ = check_block(m, 0.0)
-    return build_from_log_pmf(_optimal_ratio(m, check_weight(lam)))
+    series = SquaredBinomialSeries(m)  # validates m before it allocates
+    return build_from_log_pmf(_optimal_law(series.m, lam, _squared_series_logs(series, lam)[0]))
 
 
 @dataclass
 class DephasingSolution:
-    """Solved optimal input and capacity for one (m, E) point."""
+    """Solved optimal input and capacity for one (m, E) point.
+
+    ``log_s0`` and ``mean`` are the lambda solve's last evaluation: ln S0
+    and the law's mean at lambda1, the latter within 1e-10 of m E.
+    """
 
     m: int
     energy: float
     lambda1: float
     capacity: float          # bits per m-mode block
+    log_s0: float
+    mean: float
 
     def window(self):
-        """Certified window of the optimal law, walked per call; its mean must be m E to 1e-9."""
-        window = scan_from_ratios(_optimal_ratio(self.m, self.lambda1))
-        target = self.m * self.energy
-        if abs(window.mean - target) > 1e-9 * target:
-            raise ContractViolation(
-                f"optimal distribution mean {window.mean} misses m E = {target}")
-        return window
+        """Certified window of the optimal law, found per call on its closed-form ln P(n)."""
+        return build_from_log_pmf(_optimal_law(self.m, self.lambda1, self.log_s0))
 
     @property
     def capacity_per_mode(self):
@@ -145,13 +144,13 @@ def solve_dephasing(m, energy):
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
-        return DephasingSolution(m, 0.0, 0.0, 0.0)
+        return DephasingSolution(m, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    lam, log_s0 = solve_lambda(m, energy)
+    lam, log_s0, mean = solve_lambda(m, energy)
     capacity = (log_s0 - m * energy * math.log(lam)) / LN2
     base = m * thermal_entropy_g(energy)
     if not base - 1e-9 <= capacity <= 2.0 * base + 1e-9:
         raise ContractViolation(
             f"capacity {capacity} outside [m g(E), 2 m g(E)] = "
             f"[{base}, {2.0 * base}] for m={m}, E={energy}")
-    return DephasingSolution(m, energy, lam, capacity)
+    return DephasingSolution(m, energy, lam, capacity, log_s0, mean)

@@ -1,111 +1,106 @@
-"""Certified windows of photon-number laws, walked from their term ratios."""
+"""Certified windows of photon-number laws, found by bisection on their closed-form ln P(n)."""
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import SolverError
-from .special_math import anchored_products
 
 # certified bound on the mass a window leaves out, summed over both sides
 _TAIL_MASS = 1e-12
-# longest window walked before certification gives up
-_MAX_WINDOW = 10_000_000
-_CHUNK = 4096  # terms multiplied and summed per step of scan_from_ratios
+# rounding allowed per term t of ln P(n), times 1 + |t|: math.lgamma is within
+# 4.8 ulp * max(1, |lgamma x|) of 50-digit mpmath on x in [1e-3, 1e15]
+_TERM_ULPS = 8.0 * 2.0 ** -52
+# largest allowance on ln P(n) at an edge: beyond it, lgamma's cancellation
+# rather than the law would size the window
+_MAX_ALLOWANCE = 4.0
+
+
+def _first(passes, limit, refusal):
+    """Least k in 0..limit with passes(k), for passes monotone in k: doubling, then bisection."""
+    fail, k = -1, 0
+    while not passes(k):
+        fail, k = k, 2 * k + 1
+        if k > limit:
+            raise SolverError(refusal)
+    while k - fail > 1:  # passes(k), and not passes(fail), with passes(-1) taken as false
+        mid = (fail + k) // 2
+        fail, k = (fail, mid) if passes(mid) else (mid, k)
+    return k
 
 
 def _mode(ratio):
     """First n >= 0 with ratio(n) < 1, for a nonincreasing ratio that ends below 1."""
-    lo, hi = -1, 1
-    while ratio(hi) >= 1.0:
-        if hi > 2 ** 53:
-            raise SolverError("term ratios round to >= 1 up to n = 2^53: no mode")
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:  # ratio(lo) >= 1 > ratio(hi), with ratio(-1) taken as >= 1
-        mid = (lo + hi) // 2
-        if ratio(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _first(lambda n: ratio(n) < 1.0, 2 ** 53,
+                  "term ratios round to >= 1 up to n = 2^53: no mode")
 
 
 class Window(NamedTuple):
-    """The certified window n = offset..cutoff of a ratio law, and its moments.
-
-    ``tail_bound`` bounds the mass outside the window, and the mean and
-    variance are taken over the window.
-    """
+    """Photon numbers offset..cutoff of a law; ``tail_bound`` bounds the mass outside them."""
 
     offset: int
     cutoff: int
     tail_bound: float
-    mean: float
-    variance: float
 
 
-def scan_from_ratios(ratio):
-    """Certified window of the law with term ratios p(n+1)/p(n) = ratio(n).
+class PhotonLaw(NamedTuple):
+    """P(n) = C(n+m-1, m-1)^power base^n / e^log_norm, with ln(base) as ``log_base``.
 
-    ``ratio`` maps photon numbers (ndarray or int) to the exact ratios,
-    positive, nonincreasing and ending below 1; a ratio that is 0 at n = 0
-    is the vacuum.  The window first reaches 12 widths (at least 64 terms)
-    to each side of the mode, or from n = 0 when the left gap is no wider
-    than the window; a side whose mass _geometric_tail cannot yet bound
-    by 5e-13 doubles its reach, up to 1e7 terms.  Each walk multiplies and
-    sums the terms x_n (x = 1 at the mode) over one anchored chunk about the
-    mode, then _CHUNK at a time outward from its edges; no window is stored.
+    The negative binomial has power 1, the optimal pure-dephasing input power 2.
     """
-    mode = _mode(ratio)
-    if ratio(mode) == 0.0:
-        return Window(0, 0, 0.0, 0.0, 0.0)
-    # width of the law: near a Gaussian bulk ln ratio(n) falls by 1/sd^2
-    # per step, and a geometric tail decays at rate -ln ratio(mode)
-    fall = math.log(ratio(mode) / ratio(mode + 1))
-    width = min(fall ** -0.5 if fall > 0.0 else math.inf, -1.0 / math.log(ratio(mode)))
-    left = right = max(math.ceil(12.0 * width), 64)
-    while True:
-        hi = mode + right
-        lo = max(mode - left, 0)
-        if lo <= hi - lo + 1:
-            lo = 0
-        if hi - lo + 1 > _MAX_WINDOW:
-            raise SolverError(
-                f"tail certification still open at a window of {_MAX_WINDOW} terms")
-        # sums over n != mode of x, (n-mode) x, (n-mode)^2 x: first
-        # over one anchored chunk of up to _CHUNK terms about the mode, then
-        # outward from its edge terms where the window is wider
-        a = max(lo, min(mode - _CHUNK // 2, hi + 1 - _CHUNK))
-        b = min(hi, a + _CHUNK - 1)
-        d = np.arange(a - mode, b - mode + 1, dtype=float)
-        x = anchored_products(ratio(mode + d[:-1]), mode - a)
-        edges = {-1: x[0], 1: x[-1]}
-        x[mode - a] = 0.0
-        sums = np.array(_chunk_sums(d, x))
-        for sign, done, reach in ((-1, mode - a, mode - lo), (1, b - mode, hi - mode)):
-            for start in range(done + 1, reach + 1, _CHUNK):
-                d = np.arange(start, min(start + _CHUNK, reach + 1), dtype=float)
-                f = ratio(mode + d - 1.0) if sign > 0 else 1.0 / ratio(mode - d)
-                f[0] *= edges[sign]  # continues the previous chunk's product
-                x = np.cumprod(f)
-                edges[sign] = x[-1]
-                sums += _chunk_sums(sign * d, x)
-        rest, first, second = map(float, sums)
-        total = 1.0 + rest
-        tails = (_geometric_tail(edges[-1] / total, 1.0 / ratio(lo - 1)) if lo > 0 else 0.0,
-                 _geometric_tail(edges[1] / total, ratio(hi)))
-        if None not in tails:
-            shift = first / total
-            return Window(lo, hi, tails[0] + tails[1],
-                          mode + shift, second / total - shift * shift)
-        left, right = (2 * left if tails[0] is None else left,
-                       2 * right if tails[1] is None else right)
+
+    m: float
+    power: int
+    base: float
+    log_base: float
+    log_norm: float
+
+    def ratio(self, n):
+        """Exact term ratio P(n+1)/P(n) = ((n+m)/(n+1))^power base."""
+        return ((n + self.m) / (n + 1.0)) ** self.power * self.base
+
+    def log_pmf(self, n):
+        """ln P(n) from math.lgamma, and the allowance on its rounding, summed over its terms."""
+        a, b, c = math.lgamma(n + self.m), math.lgamma(self.m), math.lgamma(n + 1.0)
+        lead = n * self.log_base
+        terms = self.power * (3.0 + abs(a) + abs(b) + abs(c)) + 2.0 + abs(lead) + abs(self.log_norm)
+        return self.power * (a - b - c) + lead - self.log_norm, _TERM_ULPS * terms
 
 
-def _chunk_sums(d, x):
-    """Sums of x, d x and d^2 x over terms x at offsets d from the mode."""
-    return x.sum(), d @ x, (d * d) @ x
+def _edge(law, mode, side):
+    """(edge, certified mass beyond it) of the left (side -1) or right (+1) side."""
+    def tail(k):  # the rule at the edge k steps out from the mode, or None
+        n = max(mode + side * k, 0)
+        if side < 0 and n == 0:
+            return 0.0
+        value, allowance = law.log_pmf(n)
+        ratio = law.ratio(n) if side > 0 else 1.0 / law.ratio(n - 1)
+        return _geometric_tail(math.exp(min(value + allowance, 0.0)), ratio)
+
+    # the rule shrinks as the edge moves out, and fails at k = -1, short of the mode
+    k = _first(lambda k: tail(k) is not None, 2 ** 53 - mode,
+               f"photon-number window edge past 2^53 (m={law.m:g})")
+    edge = max(mode + side * k, 0)
+    if law.log_pmf(edge)[1] > _MAX_ALLOWANCE:
+        raise SolverError(f"ln P(n) at edge {edge} has a rounding allowance above {_MAX_ALLOWANCE}")
+    return edge, tail(k)
+
+
+def build_from_log_pmf(law):
+    """Tightest window of a PhotonLaw that _geometric_tail certifies on both sides.
+
+    Beyond an edge the terms fall at least geometrically at the edge's own
+    ratio, so the rule's bound shrinks as the edge moves out; each edge is
+    the first that passes, by doubling and bisection from the mode.  The
+    edge term is raised by its log_pmf allowance, so the window omits at
+    most 1e-12 in all whatever lgamma's rounding.  An edge past 2^53 (not
+    every integer there is a float) or past _MAX_ALLOWANCE raises
+    SolverError.  A base of 0 is the vacuum.
+    """
+    if law.base == 0.0:
+        return Window(0, 0, 0.0)
+    mode = _mode(law.ratio)
+    (offset, left), (cutoff, right) = _edge(law, mode, -1), _edge(law, mode, 1)
+    return Window(offset, cutoff, left + right)
 
 
 def _geometric_tail(p, ratio):

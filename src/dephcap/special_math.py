@@ -36,7 +36,7 @@ def shannon_entropy(p):
 
 
 # Most modes of one integer block: the pure-dephasing solve holds a few floats
-# per mode, and a certified law's window stops at the same 1e7 terms
+# per mode, about 240 MB at this limit
 MAX_MODES = 10_000_000
 
 

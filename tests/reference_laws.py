@@ -1,9 +1,8 @@
 """Photon-number laws as arrays, built without dephcap, to test its windows against.
 
-The program keeps only the certified window of a law and the sums over it
-(photon_dist.Window); these builders give the entries themselves: the
-negative binomial from scipy.stats.nbinom and the optimal pure-dephasing
-law from mpmath.
+The program keeps only the certified window of a law (photon_dist.Window);
+these builders give the entries themselves: the negative binomial from
+scipy.stats.nbinom and the optimal pure-dephasing law from mpmath.
 """
 
 import mpmath as mp
@@ -21,10 +20,15 @@ def negative_binomial(m, energy, lo, hi):
     return stats.nbinom.pmf(np.arange(lo, hi + 1), m, 1.0 / (energy + 1.0))
 
 
+def negative_binomial_sides(m, energy, lo, hi):
+    """Masses of the negative binomial below n = lo and above n = hi."""
+    law = stats.nbinom(m, 1.0 / (energy + 1.0))
+    return float(law.cdf(lo - 1)), float(law.sf(hi))
+
+
 def negative_binomial_outside(m, energy, lo, hi):
     """Mass of the negative binomial outside n = lo..hi."""
-    law = stats.nbinom(m, 1.0 / (energy + 1.0))
-    return float(law.cdf(lo - 1) + law.sf(hi))
+    return sum(negative_binomial_sides(m, energy, lo, hi))
 
 
 def scipy_energy(energy):

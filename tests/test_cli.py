@@ -110,20 +110,22 @@ class TestCapacityCommand:
         rep = json.loads(capsys.readouterr().out)
         assert 1.86 <= rep["ratio"] <= 1.94
 
-    def test_pure_dephasing_prints_one_walk_of_the_law(self, monkeypatch, capsys):
-        # the mean rail and the report read the same walk of the optimal law
+    def test_pure_dephasing_prints_one_window_and_the_solved_mean(self, monkeypatch,
+                                                                  capsys):
+        # the window is built once; the mean is the lambda solve's last step
         windows = []
 
-        def walked(ratio, scan=dephasing_exact.scan_from_ratios):
-            windows.append(scan(ratio))
+        def built(law, build=dephasing_exact.build_from_log_pmf):
+            windows.append(build(law))
             return windows[-1]
-        monkeypatch.setattr(dephasing_exact, "scan_from_ratios", walked)
+        monkeypatch.setattr(dephasing_exact, "build_from_log_pmf", built)
         assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 0
         inter = json.loads(capsys.readouterr().out)["intermediates"]
         [window] = windows
         assert inter["support"] == window.cutoff
-        assert inter["mean_achieved"] == pytest.approx(window.mean, rel=1e-11)
         assert inter["tail_bound"] == pytest.approx(window.tail_bound, rel=1e-11)
+        mean = dephasing_exact.solve_dephasing(20, 1.0).mean
+        assert inter["mean_achieved"] == pytest.approx(mean, rel=1e-11)
 
     def test_thermal_loss_identity_channel(self, capsys):
         rc = cli.main(["capacity", "--thermal-loss", "-k", "1", "--nb", "0",
@@ -328,8 +330,8 @@ class TestOptimalLawBuilds:
         assert capsys.readouterr().err == ""
         assert built == []
 
-    def test_wide_window_is_walked_in_little_memory(self, capsys):
-        # the window at E = 1e5 spans 4.8e6 terms, 38 MB as one float64 array
+    def test_wide_window_is_found_in_little_memory(self, capsys):
+        # the window at E = 1e5 spans 2.8e6 terms, found from a few scalars
         tracemalloc.start()
         try:
             rc = cli.main(["capacity", "--pure-dephasing", "-m", "1", "-E", "1e5"])
@@ -337,23 +339,8 @@ class TestOptimalLawBuilds:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["intermediates"]["support"] > 4_000_000
-        assert peak < 5_000_000
-
-    def test_window_mean_rail_guards_the_printed_window(self, monkeypatch, capsys):
-        def shifted(ratio, scan=dephasing_exact.scan_from_ratios):
-            window = scan(ratio)
-            return window._replace(mean=window.mean + 1.0)
-        monkeypatch.setattr(dephasing_exact, "scan_from_ratios", shifted)
-        assert cli.main(["capacity", "--pure-dephasing", "-m", "20", "-E", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "optimal distribution mean" in lines[0]
-        # fig2 reads no law, so the rail is not in its way
-        assert cli.main(["fig2", "-E", "1", "--m-max", "20"]) == 0
         capsys.readouterr()
+        assert peak < 100_000
 
 
 class TestSolveLayer:
@@ -386,11 +373,21 @@ class TestNumericalFailures:
         assert captured.err.splitlines() == [
             "error: out of memory: Unable to allocate 74.5 GiB for an array"]
 
-    def test_uncertifiable_law_exits_two(self, capsys):
-        # the optimal law at E = 1e6 needs a window beyond the 1e7-term cap
+    def test_geometric_law_at_a_million_photons_exits_zero(self, capsys):
+        # at m = 1 the law is geometric, (1 - lambda) lambda^n, whose mass beyond
+        # n is lambda^(n+1): the rule's bound on it, raised by the edge's allowance
         rc = cli.main(["capacity", "--pure-dephasing", "-m", "1", "-E", "1e6"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: tail certification")
+        assert rc == 0
+        inter = json.loads(capsys.readouterr().out)["intermediates"]
+        # (ln lambda = -1e-6, so the allowance of 3.3e-6 adds 3 terms)
+        sol = dephasing_exact.solve_dephasing(1, 1e6)
+        lam, support = sol.lambda1, inter["support"]
+        allowance = dephasing_exact._optimal_law(1, lam, sol.log_s0).log_pmf(support)[1]
+        assert 0.0 < allowance < 1e-5
+        first = math.ceil((math.log(5e-13) - allowance) / math.log(lam)) - 1
+        assert abs(support - first) <= 1
+        assert inter["tail_bound"] == pytest.approx(
+            lam ** (support + 1) * math.exp(allowance), rel=1e-11)
 
 
 class TestLargeEnergies:

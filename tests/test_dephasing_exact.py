@@ -35,20 +35,24 @@ class TestSolveLambda:
 
     def test_zero_energy(self):
         # the law is the vacuum, whose normalizer S0(0) is 1
-        assert solve_lambda(3, 0.0) == (0.0, 0.0)
+        assert solve_lambda(3, 0.0) == (0.0, 0.0, 0.0)
 
     def test_two_modes_unit_energy(self):
         assert solve_lambda(2, 1.0)[0] == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
 
     @pytest.mark.parametrize("m, energy", [(1, 0.3), (2, 1.0), (5, 0.1), (20, 1.0)])
     def test_solved_weight_reproduces_the_mean(self, m, energy):
-        window = optimal_total_distribution(m, solve_lambda(m, energy)[0])
-        assert window.mean == pytest.approx(m * energy, rel=1e-9)
+        # the law's own mean, from 30-digit entries over its certified window
+        lam, _, mean = solve_lambda(m, energy)
+        window = optimal_total_distribution(m, lam)
+        law = optimal_law(m, lam, window.offset, window.cutoff)
+        assert window_sums(window.offset, law)[0] == pytest.approx(m * energy, rel=1e-9)
+        assert mean == pytest.approx(m * energy, rel=1e-10)
 
     @pytest.mark.parametrize("m, energy", [(1, 1.0), (2, 1.0), (20, 0.3), (3000, 10.0)])
-    def test_returns_the_normalizer_at_the_solved_lambda(self, m, energy):
-        lam, log_s0 = solve_lambda(m, energy)
-        assert log_s0 == squared_binomial_law(m, lam)[0]
+    def test_returns_the_normalizer_and_mean_at_the_solved_lambda(self, m, energy):
+        lam, log_s0, mean = solve_lambda(m, energy)
+        assert (log_s0, mean) == squared_binomial_law(m, lam)[:2]
 
     @pytest.mark.parametrize("m", [0, -2, 1.5])
     def test_bad_mode_count_rejected(self, m):
@@ -62,15 +66,14 @@ class TestSolveLambda:
 
 class TestOptimalTotalDistribution:
     def test_single_mode_is_geometric(self):
-        # The solved lambda carries the 1e-14 bisection tolerance, which the
-        # power law amplifies by n; compare at a matching tolerance.
+        # lambda = 1/2: the mass beyond n is 2^-(n+1), first below 5e-13 at n = 40
         window = optimal_total_distribution(1, solve_lambda(1, 1.0)[0])
-        assert window.offset == 0
-        assert (window.mean, window.variance) == pytest.approx((1.0, 2.0), rel=1e-11)
+        assert (window.offset, window.cutoff) == (0, 40)
+        assert window.tail_bound == pytest.approx(0.5 ** 41, rel=1e-13)
 
     def test_zero_energy_is_point_mass(self):
         window = optimal_total_distribution(4, 0.0)
-        assert window == (0, 0, 0.0, 0.0, 0.0)
+        assert window == (0, 0, 0.0)
 
     # E = 100: a heavy tail, whose window the mass-only certificate sizes
     @pytest.mark.parametrize("energy", [1.0, 100.0])
@@ -79,14 +82,6 @@ class TestOptimalTotalDistribution:
         window = optimal_total_distribution(2, lam)
         assert window.tail_bound <= 1e-12
         assert optimal_outside(2, lam, window.offset, window.cutoff) <= window.tail_bound
-
-    @pytest.mark.parametrize("energy", [1.0, 100.0])
-    def test_window_sums_the_analytic_law(self, energy):
-        lam = solve_lambda(2, energy)[0]
-        window = optimal_total_distribution(2, lam)
-        law = optimal_law(2, lam, window.offset, window.cutoff)
-        assert (window.mean, window.variance) == pytest.approx(
-            window_sums(window.offset, law), rel=1e-13)
 
     @pytest.mark.parametrize("m, lam, message", [
         (2.5, 0.5, "positive integer"), (0, 0.5, "positive integer"),
@@ -110,7 +105,7 @@ class TestSolveDephasing:
         sol = solve_dephasing(2, 1.0)
         assert sol.capacity == pytest.approx(CAPACITY_M2_E1, rel=1e-10)
         assert sol.lambda1 == pytest.approx(LAMBDA_M2_E1, abs=1e-12)
-        assert sol.window().mean == pytest.approx(2.0, rel=1e-9)
+        assert sol.mean == pytest.approx(2.0, rel=1e-10)
 
     def test_twenty_modes_approach_the_doubling_ceiling(self):
         sol = solve_dephasing(20, 1.0)
@@ -131,14 +126,14 @@ class TestSolveDephasing:
         sol = solve_dephasing(3, 0.5)
         assert isinstance(sol, DephasingSolution)
         assert sol.capacity_per_mode == pytest.approx(sol.capacity / 3.0, rel=1e-15)
-        assert sol.window().mean == pytest.approx(1.5, rel=1e-9)
+        assert sol.mean == pytest.approx(1.5, rel=1e-10)
 
     def test_zero_energy_yields_the_silent_solution(self):
         sol = solve_dephasing(2, 0.0)
         assert sol.capacity == 0.0
         assert sol.lambda1 == 0.0
         assert sol.window() == optimal_total_distribution(sol.m, sol.lambda1)
-        assert sol.window() == (0, 0, 0.0, 0.0, 0.0)
+        assert sol.window() == (0, 0, 0.0)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
@@ -154,14 +149,10 @@ class TestSolveDephasing:
         sol = solve_dephasing(20, 1.0)
         window = sol.window()
         assert built == []
-        law = optimal_total_distribution(sol.m, sol.lambda1)
-        assert (law.offset, law.cutoff, law.tail_bound) == (
-            window.offset, window.cutoff, window.tail_bound)
-        assert window.mean == pytest.approx(law.mean, rel=1e-13)
+        assert window == optimal_total_distribution(sol.m, sol.lambda1)
 
     def test_solve_needs_no_window_of_the_law(self):
-        # the law's window at E = 1e6 is beyond the builder's 1e7-term cap,
-        # but the capacity is closed form and equals g(E) at m = 1
+        # the capacity is closed form and equals g(E) at m = 1
         sol = solve_dephasing(1, 1e6)
         assert sol.capacity == pytest.approx(thermal_entropy_g(1e6), rel=1e-12)
         assert sol.capacity == pytest.approx(21.3742643316, abs=1e-10)
@@ -183,7 +174,7 @@ def test_every_point_solves_inside_its_sandwich(m, log_energy):
     energy = 10.0 ** log_energy
     sol = solve_dephasing(m, energy)
     window = sol.window()
-    assert window.mean == pytest.approx(m * energy, rel=1e-9)
+    assert sol.mean == pytest.approx(m * energy, rel=1e-10)
     g = thermal_entropy_g(energy)
     assert m * g - 1e-9 <= sol.capacity <= 2.0 * m * g + 1e-9
     assert window.tail_bound <= 1e-12
@@ -241,14 +232,14 @@ def test_no_point_takes_more_than_five_evaluations(m, log_energy):
 # overflows: each point ends in this value or error, and warns nothing
 _BRACKET_TOP = "lambda bracket top rounded to 1 (m={m}, E={E!r})"
 _FLOAT_EDGE_ENDINGS = {
-    (1, 5e-324): (5e-324, 5e-324),
+    (1, 5e-324): (5e-324, 5e-324, 5e-324),
     (2, 5e-324): "lambda solve underflowed to 0: E is too close to the smallest "
                  "float (m=2, E=5e-324)",
     (200, 5e-324): "lambda solve underflowed to 0: E is too close to the smallest "
                    "float (m=200, E=5e-324)",
-    (1, 1e-300): (1e-300, 1e-300),
-    (2, 1e-300): (5e-301, 2e-300),
-    (200, 1e-300): (5e-303, 2e-298),
+    (1, 1e-300): (1e-300, 1e-300, 1e-300),
+    (2, 1e-300): (5e-301, 2e-300, 2e-300),
+    (200, 1e-300): (5e-303, 2e-298, 2e-298),
     (1, 1e12): "solved lambda=0.999999999999 reproduces mean 1000022122208.5028 "
                "instead of 1000000000000.0 (m=1, E=1000000000000.0)",
     (2, 1e12): "solved lambda=0.9999999999985 reproduces mean 1999970229012.5972 "
