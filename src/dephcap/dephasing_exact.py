@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .errors import ContractViolation, SolverError
 from .photon_dist import PhotonLaw, build_from_log_pmf
 from .scalar_math import LN2, thermal_entropy_g
-from .special_math import SquaredBinomialSeries, check_block
+from .special_math import check_block, squared_binomial_law
 
-# perfbench/spans.py traces the series' evaluations under this former name.  It
-# reads .probs from optimal_total_distribution and bounds.thermal_total_photon_dist,
+# perfbench/spans.py traces the normaliser's evaluations under this former name.
+# It reads .probs from optimal_total_distribution and bounds.thermal_total_photon_dist,
 # so window() and entropy_total_exact never call them by name (ROADMAP item 1b)
-_squared_series_logs = SquaredBinomialSeries.at
+_squared_series_logs = squared_binomial_law
 
 _MEAN_RTOL = 1e-10
 _MAX_ITER = 100
@@ -34,18 +34,17 @@ def solve_lambda(m, energy):
     variance.  The mean is at least (2m-1) lambda/(1-lambda), so the root
     lies in the bracket (0, T/(T+2m-1)] for target mean T = m E; every
     evaluation narrows the bracket, and a Newton step that leaves it is
-    replaced by bisection.  One series serves every step, and ln S0 and the
-    mean are the last step's, at the lambda returned; the mean is verified
-    to reproduce the target m E to 1e-10 relative.
+    replaced by bisection.  Each step is one evaluation of the normaliser,
+    and ln S0 and the mean are the last step's, at the lambda returned; the
+    mean is verified to reproduce the target m E to 1e-10 relative.
     """
     m, energy = check_block(m, energy)
     if energy == 0.0:
         return 0.0, 0.0, 0.0
     target = m * energy
     lo, hi = 0.0, target / (target + 2.0 * m - 1.0)
-    if hi == 1.0:  # no float is left between the root and the series' pole
+    if hi == 1.0:  # no float is left between the root and S0's pole
         raise SolverError(f"lambda bracket top rounded to 1 (m={m}, E={energy})")
-    series = SquaredBinomialSeries(m)
     # ln lambda = 2 ln q + t + O(m^-3) at large m, from the Laplace-Heine
     # asymptote of Q (see README); elsewhere two guesses exact at m = 1: the
     # first tends to q^2, the second is the E -> 0 limit, where mean = m^2 lambda
@@ -54,7 +53,7 @@ def solve_lambda(m, energy):
     lam = min(q * q * math.exp(t) if m > 1 and t < 1.0
               else max(q ** (2.0 - 1.0 / m), q / m), hi)
     for _ in range(_MAX_ITER):
-        log_s0, mean, var = _squared_series_logs(series, lam)
+        log_s0, mean, var = _squared_series_logs(m, lam)
         miss = mean - target
         # the mean is within 1e-15 relative, or the Newton step in ln lambda
         # is below 1e-15, where rounding of the mean takes over
@@ -95,10 +94,10 @@ def optimal_total_distribution(m, lam):
 
     ``lam`` in [0, 1) is the weight parameter lambda of solve_lambda.  The
     photon_dist.Window omits less than 1e-12 of the mass on both sides; see
-    photon_dist.build_from_log_pmf.  ln S0(lambda) is one series evaluation.
+    photon_dist.build_from_log_pmf.  ln S0(lambda) is one normaliser evaluation.
     """
-    series = SquaredBinomialSeries(m)  # validates m before it allocates
-    return build_from_log_pmf(_optimal_law(series.m, lam, _squared_series_logs(series, lam)[0]))
+    m, _ = check_block(m, 0.0)
+    return build_from_log_pmf(_optimal_law(m, lam, _squared_series_logs(m, lam)[0]))
 
 
 @dataclass

@@ -511,7 +511,7 @@ class TestBoundsRecords:
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(log_m=hst.floats(3.0, 6.0), log_energy=hst.floats(-3.0, 2.0))
+@given(log_m=hst.floats(3.0, 7.0), log_energy=hst.floats(-3.0, 2.0))
 def test_block_advantage_approaches_its_large_m_limit(log_m, log_energy):
     # A = capacity - [2 m g(E) - H(NB(m, E))], the exact solve's advantage over
     # the bound fig2 prints as lower_bound_ratio, obeys
@@ -521,7 +521,7 @@ def test_block_advantage_approaches_its_large_m_limit(log_m, log_energy):
     # block's 2 m g(E) bits bounds A's rounding (at most 0.8 ulp seen).
     # Below E = 0.01 the expansion starts at m ~ 1e5, so m is drawn from there.
     energy = 10.0 ** log_energy
-    m = int(10.0 ** (5.0 + (log_m - 3.0) / 3.0 if energy < 0.01 else log_m))
+    m = int(10.0 ** (5.0 + (log_m - 3.0) / 2.0 if energy < 0.01 else log_m))
     block = 2.0 * m * thermal_entropy_g(energy)
     advantage = solve_dephasing(m, energy).capacity - (
         block - entropy_total_exact(m, energy))

@@ -186,8 +186,8 @@ def _visited(m, energy):
     """solve_dephasing(m, E) and the (lambda, evaluation) of every Newton step."""
     seen = []
 
-    def recorded(series, lam, evaluate=dephasing_exact._squared_series_logs):
-        seen.append((lam, evaluate(series, lam)))
+    def recorded(m, lam, evaluate=dephasing_exact._squared_series_logs):
+        seen.append((lam, evaluate(m, lam)))
         return seen[-1][1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dephasing_exact, "_squared_series_logs", recorded)
@@ -202,7 +202,7 @@ def test_capacity_is_the_last_newton_evaluation(m, log_energy):
     lam = sol.lambda1
     assert seen[-1][0] == lam
     assert sol.capacity == (squared_binomial_law(m, lam)[0] - m * energy * math.log(lam)) / LN2
-    # one series serves every step; a fresh one gives the same bits at each
+    # every step is a plain evaluation: called again it gives the same bits
     for z, law in seen:
         assert law == squared_binomial_law(m, z)
 
@@ -265,18 +265,23 @@ def test_float_edges_end_as_before(m, energy):
     assert str(raised.value) == want
 
 
-@pytest.mark.parametrize("energy", [0.01, 1.0])
-def test_solve_peaks_below_four_mode_length_arrays(energy):
-    # the series keeps its ratio bases, and an evaluation holds at most two
-    # more m-length arrays at a time
-    m = 10**6
+@pytest.mark.parametrize("energy", [1e-3, 1.0, 10.0])
+def test_solve_at_the_mode_limit_peaks_below_one_megabyte(energy):
+    # an evaluation holds at most 257 floats per array, whatever m is
     tracemalloc.start()
     try:
-        solve_dephasing(m, energy)
+        solve_dephasing(10**7, energy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 8 * m
+    assert peak < 1_000_000
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+    "(2m-1) lambda/(1-lambda) loses the digits of 1 - lambda = 2e-6; "
+    "ROADMAP item 2's solve in u = 1 - lambda is to mend it"))
+def test_solve_meets_its_mean_where_lambda_nears_one():
+    assert solve_dephasing(1000, 1e6).mean == pytest.approx(1e9, rel=1e-10)
 
 
 class TestOptimalJointWeight:

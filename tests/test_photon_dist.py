@@ -139,7 +139,7 @@ def test_negative_binomial_edges_are_within_their_allowance(m, energy):
 @pytest.mark.parametrize("m, energy", [
     (m, energy) for m in (1, 2, 1000) for energy in (1e-3, 1.0, 1e3)] + [(1, 1e6), (2, 1e6)])
 def test_optimal_law_edges_are_within_their_allowance(m, energy):
-    # the allowance also covers ln S0 as the lambda solve's series gives it
+    # the allowance also covers ln S0 as the lambda solve's normaliser gives it
     sol = solve_dephasing(m, energy)
     lam = mp.mpf(sol.lambda1)
     with mp.workdps(40):

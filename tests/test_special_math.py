@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephcap.scalar_math import thermal_entropy_g
 from dephcap.special_math import (
@@ -39,22 +41,57 @@ LOG_HYP2F1_REFS = {
 }
 
 
-def _laplace_log_q(m, z):
-    """ln Q(z) of the Euler polynomial from Laplace's integral, in mpmath.
+def _laplace_integral(n, z, moment=False):
+    """(1/pi) int_0^pi (g/(1 + sqrt z)^2)^n x dt in mpmath, g = 1 + z + 2 sqrt(z) cos t.
 
-    Q = (1/pi) int_0^pi (1 + z + 2 sqrt(z) cos t)^(m-1) dt, whose integrand
-    peaks at t = 0 with width (1 + sqrt z)/sqrt((m-1) sqrt z); the quadrature
-    breaks at 1 to 64 such widths.  An independent route to ln Q where the
-    polynomial has too many terms to sum in mpmath.
+    x is 1, or with ``moment`` the weight h = (z + sqrt(z) cos t)/g whose
+    n-fold average is the mean of Q's weights.  The integrand peaks at t = 0
+    with width (1 + sqrt z)/sqrt(n sqrt z); the quadrature breaks at 1 to 64
+    such widths.
     """
-    n, z = m - 1, mp.mpf(z)
+    z = mp.mpf(z)
     r = mp.sqrt(z)
     peak = 2 * mp.log1p(r)  # ln of the integrand's largest value, per power
     width = (1 + r) / mp.sqrt(n * r)
     points = [0] + [k * width for k in (1, 2, 4, 8, 16, 32, 64) if k * width < mp.pi]
-    integral = mp.quad(lambda t: mp.exp(n * (mp.log(1 + z + 2 * r * mp.cos(t)) - peak)),
-                       points + [mp.pi])
-    return n * peak + mp.log(integral / mp.pi)
+
+    def integrand(t):
+        g = 1 + z + 2 * r * mp.cos(t)
+        return mp.exp(n * (mp.log(g) - peak)) * ((z + r * mp.cos(t)) / g if moment else 1)
+    return mp.quad(integrand, points + [mp.pi]) / mp.pi
+
+
+def _laplace_log_q(m, z):
+    """ln Q(z) of the Euler polynomial from Laplace's integral, in mpmath.
+
+    Q = (1/pi) int_0^pi (1 + z + 2 sqrt(z) cos t)^(m-1) dt: an independent
+    route to ln Q where the polynomial has too many terms to sum in mpmath.
+    """
+    n = m - 1
+    return 2 * n * mp.log1p(mp.sqrt(mp.mpf(z))) + mp.log(_laplace_integral(n, z))
+
+
+def _reference_law(m, z):
+    """ln S0 and the mean of the law at z, in mpmath at the working precision.
+
+    Q's weights are summed directly while their peak k ~ n sqrt(z)/(1 + sqrt z)
+    lies below 400, until past it they fall below 1e-60 of the sum; above it
+    they come from Laplace's integral, which no longer cancels there.
+    """
+    n, zz = m - 1, mp.mpf(z)
+    top = n * mp.sqrt(zz) / (1 + mp.sqrt(zz))
+    if top < 400:
+        q, kq, term, k = mp.mpf(0), mp.mpf(0), mp.mpf(1), 0
+        while k <= n and (k < top + 10 or term > q * mp.mpf(10) ** -60):
+            q, kq = q + term, kq + k * term
+            term *= (mp.mpf(n - k) / (k + 1)) ** 2 * zz
+            k += 1
+        log_q, mean_q = mp.log(q), kq / q
+    else:
+        log_q = _laplace_log_q(m, z)
+        mean_q = n * _laplace_integral(n, z, moment=True) / _laplace_integral(n, z)
+    return ((1 - 2 * m) * mp.log1p(-zz) + log_q,
+            (2 * m - 1) * zz / (1 - zz) + mean_q)
 
 
 def _s0_closed(m, z):
@@ -176,7 +213,7 @@ def _log_s1(m, z):
     return log_s0 + math.log(mean)
 
 
-class TestSquaredBinomialSeries:
+class TestSquaredBinomialLaw:
     @pytest.mark.parametrize("z", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_single_mode_is_geometric_normalizer(self, z):
         # m=1 collapses to sum z^n = 1/(1-z).
@@ -232,6 +269,33 @@ class TestSquaredBinomialSeries:
             want = float(mp.log(mp.hyp2f1(m, m, 1, mp.mpf(z))))
         assert _log_s0(m, z) == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    # n = m - 1 on both sides of the head's last all-terms degree, 256, and
+    # of n sqrt(z) = 2, where the head stops and Laplace's integral starts
+    @pytest.mark.parametrize("m, z, head", [
+        (257, 0.25, True), (258, 0.25, False), (257, 0.9, True), (258, 0.9, False),
+        (257, 1e-3, True), (258, 1e-3, False),
+        (301, (2.0 / 300) ** 2 * (1.0 - 1e-9), True), (301, (2.0 / 300) ** 2 * (1.0 + 1e-9), False),
+        (10**7, (2.0 / (10**7 - 1)) ** 2 * (1.0 - 1e-9), True),
+        (10**7, (2.0 / (10**7 - 1)) ** 2 * (1.0 + 1e-9), False),
+        (10**7 - 1, 0.25, False),
+    ])
+    def test_routes_meet_mpmath_at_their_switch_points(self, m, z, head):
+        assert (m - 1 <= 256 or (m - 1) * math.sqrt(z) <= 2.0) == head
+        log_s0, mean, _ = squared_binomial_law(m, z)
+        with mp.workdps(50):
+            want_log_s0, want_mean = _reference_law(m, z)
+            assert abs(log_s0 - want_log_s0) <= 4e-16 * want_log_s0
+            assert abs(mean - want_mean) <= 4e-16 * want_mean
+
+    def test_laplace_route_corrects_the_rounding_of_sqrt_z(self):
+        # 2n log1p(sqrt z) carries sqrt(z)'s rounding times 2n; corrected, ln S0
+        # at the lambda of `capacity --pure-dephasing -m 5000 -E 1` is within
+        # one ulp (it was two ulps off without the correction)
+        z = 0.2500375028127109
+        with mp.workdps(50):
+            want = _reference_law(5000, z)[0]
+            assert abs(squared_binomial_law(5000, z)[0] - want) <= math.ulp(float(want))
+
     def test_zero_argument(self):
         assert squared_binomial_law(3, 0.0) == (0.0, 0.0, 0.0)
 
@@ -244,3 +308,14 @@ class TestSquaredBinomialSeries:
     def test_bad_mode_count_rejected(self, m):
         with pytest.raises(ValueError):
             squared_binomial_law(m, 0.5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_m=st.floats(0.0, 7.0), log_z=st.floats(-16.0, math.log10(0.999)))
+def test_law_meets_mpmath_at_every_mode_count(log_m, log_z):
+    m, z = int(round(10.0 ** log_m)), 10.0 ** log_z
+    log_s0, mean, _ = squared_binomial_law(m, z)
+    with mp.workdps(30):
+        want_log_s0, want_mean = _reference_law(m, z)
+        assert abs(log_s0 - want_log_s0) <= 1e-15 * want_log_s0
+        assert abs(mean - want_mean) <= 1e-14 * want_mean
