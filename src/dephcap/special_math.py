@@ -70,11 +70,11 @@ def squared_binomial_law(m, z):
     """ln S0(z), mean and variance of the law P(n) ~ C(n+m-1, m-1)^2 z^n at z.
 
     S0(z) = 2F1(m, m; 1; z) = (1-z)^(1-2m) Q(z) by Euler's transformation
-    (DLMF 15.8(i)), with Q(z) = sum_{k<m} C(m-1, k)^2 z^k, so no truncation
-    is involved.  The mean z d(ln S0)/dz is (2m-1) z/(1-z) plus the mean of
-    Q's weights, and the variance, its derivative in ln z, is
-    (2m-1) z/(1-z)^2 plus theirs.  With n = m - 1 these come from _head where
-    n <= 256 or n sqrt(z) <= 2, else from _laplace; no array exceeds 257 floats.
+    (DLMF 15.8(i)), Q(z) = sum_{k<m} C(m-1, k)^2 z^k.  The mean z d(ln S0)/dz
+    is (2m-1) z/(1-z) plus the mean of Q's weights, and the variance, its
+    derivative in ln z, (2m-1) z/(1-z)^2 plus theirs.  With n = m - 1 they
+    come from _head where n <= 256 or n sqrt(z) <= 2, which drops under
+    1e-800 of Q, else from _laplace, which drops under 1e-22 of I >= 7e-5.
     """
     n = check_block(m, 0.0)[0] - 1
     if not 0.0 <= z < 1.0:  # where the law sums
