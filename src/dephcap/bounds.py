@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import SolverError
 from .photon_dist import PhotonLaw, build_from_log_pmf
-from .scalar_math import LN2
-from .special_math import check_block
+from .scalar_math import LN2, check_block
 
 # entropy prefactor of a unit-variance Gaussian, ~4.1327
 GAUSSIAN_ENTROPY_FACTOR = math.sqrt(2.0 * math.pi * math.e)

@@ -21,7 +21,7 @@ import sys
 
 from . import thermal_loss
 from .errors import ContractViolation, SolverError
-from .scalar_math import thermal_entropy_g
+from .scalar_math import check_block, thermal_entropy_g
 from .thermal_loss import ThermalLossChannel
 
 
@@ -78,8 +78,9 @@ def parse_mode_grid(spec):
     """Parse --modes: a single number or a log grid 'START:STOP:K/dec'.
 
     The grid places K points per decade at exponents lo + j/K, both
-    endpoints included, e.g. '1e1:1e7:10/dec' gives 61 values.  Values must
-    be finite, and a grid may hold at most MAX_SWEEP_POINTS points.
+    endpoints included, e.g. '1e1:1e7:10/dec' gives 61 values.  A single
+    count, START and STOP go to check_block as real mode counts, and a grid
+    may hold at most MAX_SWEEP_POINTS points.
     """
     spec = spec.strip()
     if ":" not in spec:
@@ -87,11 +88,7 @@ def parse_mode_grid(spec):
             value = float(spec)
         except ValueError:
             raise ValueError(f"cannot parse mode count {spec!r}")
-        if not value >= 1.0:
-            raise ValueError(f"mode count must be >= 1, got {spec!r}")
-        if value == math.inf:
-            raise ValueError(f"mode count must be finite, got {spec!r}")
-        return [value]
+        return [check_block(value, 0.0, integer=False)[0]]
     parts = spec.split(":")
     if len(parts) != 3 or not parts[2].endswith("/dec"):
         raise ValueError(f"mode grid must look like 'START:STOP:K/dec', got {spec!r}")
@@ -99,10 +96,10 @@ def parse_mode_grid(spec):
         start, stop, per_dec = float(parts[0]), float(parts[1]), int(parts[2][:-4])
     except ValueError:
         raise ValueError(f"cannot parse mode grid {spec!r}")
-    if not (1.0 <= start < stop) or per_dec < 1:
-        raise ValueError(f"mode grid needs 1 <= START < STOP and K >= 1, got {spec!r}")
-    if stop == math.inf:
-        raise ValueError(f"mode grid needs a finite STOP, got {spec!r}")
+    for value in (start, stop):
+        check_block(value, 0.0, integer=False)
+    if not start < stop or per_dec < 1:
+        raise ValueError(f"mode grid needs START < STOP and K >= 1, got {spec!r}")
     lo, hi = math.log10(start), math.log10(stop)
     try:
         n_steps = math.floor((hi - lo) * per_dec + 1e-9)
@@ -196,11 +193,10 @@ _FIG2_HEADER = ("m", "exact_ratio", "lower_bound_ratio", "asym_lower_ratio", "up
 def cmd_fig2(energy, m_max, out):
     """Capacity gain of joint phase references: ratios over m*g(E) for m=1..M."""
     from . import bounds, dephasing_exact
-    if m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {m_max}")
     if m_max > MAX_SWEEP_POINTS:
         raise ValueError(f"--m-max exceeds the limit of {MAX_SWEEP_POINTS} "
                          "points per sweep")
+    check_block(m_max, energy)
     if energy == 0.0:
         raise ValueError("fig2 divides by g(E), which is 0 at E = 0")
     rep = thermal_loss.capacity_report(ThermalLossChannel(1.0, 0.0), energy)

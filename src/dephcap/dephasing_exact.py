@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, SolverError
 from .photon_dist import PhotonLaw, build_from_log_pmf
-from .scalar_math import LN2, thermal_entropy_g
-from .special_math import check_block, squared_binomial_law
+from .scalar_math import LN2, check_block, thermal_entropy_g
+from .special_math import squared_binomial_law
 
 # perfbench/spans.py traces the normaliser's evaluations under this former name.
 # It reads .probs from optimal_total_distribution and bounds.thermal_total_photon_dist,

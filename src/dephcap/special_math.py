@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .scalar_math import check_photons
+from .scalar_math import check_block
 
 
 _MASS_TOL = 1e-9
@@ -32,32 +32,6 @@ def shannon_entropy(p):
         raise ValueError(f"probability mass {total} (tail bound {tail}) is not 1")
     nz = probs[probs > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
-
-
-# Most modes of one integer block: the documented and tested range of the
-# pure-dephasing solve, not a memory limit (it holds no per-mode array)
-MAX_MODES = 10_000_000
-
-
-def check_block(m, energy, integer=True):
-    """Validated (m, E) of an m-mode block at mean photon number E per mode.
-
-    ``m`` must be a positive integer of at most MAX_MODES and is returned as
-    int; with ``integer=False`` any finite m >= 1 is accepted and returned as
-    float, so log-spaced mode grids stay exact.  ``energy`` must pass
-    check_photons.
-    """
-    if integer:
-        if m > MAX_MODES:  # first, as float(m) overflows past 1e308
-            raise ValueError(f"mode count {m} exceeds the limit of {MAX_MODES} modes")
-        if not float(m).is_integer() or m < 1:
-            raise ValueError(f"mode count must be a positive integer, got {m}")
-        m = int(m)
-    elif not 1 <= m < math.inf:  # NaN too
-        raise ValueError(f"mode count must be >= 1 and finite, got {m}")
-    else:
-        m = float(m)
-    return m, check_photons(energy)
 
 
 # Q's head: its terms k <= _HEAD, all of them while m - 1 <= _HEAD

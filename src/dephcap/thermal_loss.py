@@ -49,7 +49,7 @@ def _intermediates(ch, energy):
         return n_b, n_b + 1.0, n_b, 0.0
     e_prime = kappa * energy + n_b
     d_sq_m1 = (energy * (1.0 - kappa) * (energy * (1.0 - kappa))  # ** 2 raises on overflow
-               + 2.0 * energy * ((1.0 + kappa) * n_b + (1.0 - kappa))
+               + energy * (2.0 * ((1.0 + kappa) * n_b + (1.0 - kappa)))  # 2E is inf past 9e307
                + n_b * n_b + 2.0 * n_b)
     big_d = math.sqrt(1.0 + d_sq_m1)
     gap = n_b - (1.0 - kappa) * energy  # E' - E

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dephcap import bounds, cli, dephasing_exact, phase_encoding, special_math, verification
-from dephcap.scalar_math import thermal_entropy_g
+from dephcap import bounds, cli, dephasing_exact, phase_encoding, verification
+from dephcap.scalar_math import MAX_MODES, check_block, thermal_entropy_g
 from dephcap.verification import CheckResult
 
 
@@ -52,7 +52,25 @@ class TestModeGrid:
 
     def test_largest_block_accepted(self):
         m, = cli.parse_mode_grid("1e7")
-        assert special_math.check_block(m, 1.0) == (special_math.MAX_MODES, 1.0)
+        assert check_block(m, 1.0) == (MAX_MODES, 1.0)
+
+    @pytest.mark.parametrize("bad", ["0.5", "0", "-1", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("spec", ["{}", "{}:10:1/dec", "1:{}:1/dec"],
+                             ids=["count", "start", "stop"])
+    def test_bad_mode_counts_get_the_library_message(self, spec, bad):
+        # check_block is the one owner of the rules on a mode count
+        with pytest.raises(ValueError) as expected:
+            check_block(float(bad), 0.0, integer=False)
+        with pytest.raises(ValueError) as got:
+            cli.parse_mode_grid(spec.format(bad))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_fig2_mode_count_gets_the_library_message(self, m_max, capsys):
+        with pytest.raises(ValueError) as expected:
+            check_block(m_max, 1.0)
+        assert cli.main(["fig2", "--m-max", str(m_max)]) == 1
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
 
     def test_longest_sweep_accepted(self):
         grid = cli.parse_mode_grid("1:10:99999/dec")
@@ -60,11 +78,12 @@ class TestModeGrid:
         assert grid[-1] == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("argv, message", [
-        ("bounds -k 0.8 -E 1 -m 1:inf:1/dec", "finite STOP"),
-        ("bounds -k 0.8 -E 1 -m 1:1e400:1/dec", "finite STOP"),
-        ("fig3 -m 1:inf:1/dec", "finite STOP"),
-        ("phase-encoding -k 0.8 -E 0.001 -m 1:1e400:1/dec", "finite STOP"),
-        ("capacity --pure-dephasing -m inf -E 1", "mode count must be finite"),
+        ("bounds -k 0.8 -E 1 -m 1:inf:1/dec", "mode count must be >= 1 and finite"),
+        ("bounds -k 0.8 -E 1 -m 1:1e400:1/dec", "mode count must be >= 1 and finite"),
+        ("fig3 -m 1:inf:1/dec", "mode count must be >= 1 and finite"),
+        ("phase-encoding -k 0.8 -E 0.001 -m 1:1e400:1/dec",
+         "mode count must be >= 1 and finite"),
+        ("capacity --pure-dephasing -m inf -E 1", "mode count must be >= 1 and finite"),
         ("bounds -k 0.8 -E 1 -m 1:1e300:100000000/dec",
          "exceeds the limit of 100000 points per sweep"),
         ("fig2 --m-max 1000000000", "exceeds the limit of 100000 points per sweep"),
@@ -459,6 +478,12 @@ class TestLargeEnergies:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {message}")
+
+    def test_lossless_capacity_near_the_largest_float(self, capsys):
+        # 2E overflows above E ~ 9e307; ea is still 2 g(E) and hsw g(E)
+        assert cli.main("capacity --thermal-loss -k 1 --nb 0 -E 1e308".split()) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["ea"], rep["hsw"], rep["ratio"]) == (2049.19309653, 1024.59654827, 2.0)
 
     @pytest.mark.parametrize("energy, m", [("1e14", "1e7"), ("1e100", "1e7"),
                                            ("1e100", "1e3")])

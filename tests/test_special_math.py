@@ -13,13 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephcap.scalar_math import thermal_entropy_g
-from dephcap.special_math import (
-    MAX_MODES,
-    check_block,
-    shannon_entropy,
-    squared_binomial_law,
-)
+from dephcap.scalar_math import MAX_MODES, check_block, thermal_entropy_g
+from dephcap.special_math import shannon_entropy, squared_binomial_law
 
 G_OF_TEN = 4.83446685613664633949
 
